@@ -89,7 +89,11 @@ void ReadCache::Insert(std::uint64_t generation,
     // Replacement (the extension path: same key, longer slice). Where it
     // lives is unchanged — an extension is a re-reference of a key that
     // is already resident, not new evidence beyond what Lookup recorded.
-    it->second.slice = std::move(slice);
+    // A reader with an older view of the log may finish after one with a
+    // newer view: its shorter slice must not replace the longer one.
+    if (slice->upto > it->second.slice->upto) {
+      it->second.slice = std::move(slice);
+    }
     if (it->second.where == Where::kAm) {
       am_.splice(am_.begin(), am_, it->second.pos);
     }

@@ -73,7 +73,8 @@ class ReadCache {
                                             std::uint64_t from);
 
   /// Admits (or replaces — the extension path) the slice for
-  /// (generation, slice->from). Keys remembered by the ghost queue go
+  /// (generation, slice->from); a resident slice is only ever replaced
+  /// by a longer one. Keys remembered by the ghost queue go
   /// straight to Am; new keys enter A1in probation. Inserts under a
   /// generation older than the newest seen are discarded.
   void Insert(std::uint64_t generation,

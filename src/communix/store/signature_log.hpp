@@ -101,7 +101,7 @@ class SignatureLog {
   /// each entry's `superseded` field. NOT safe against concurrent
   /// readers or writers; restart-time only, like the seed's whole-db
   /// swap under its exclusive lock. (Live swaps build a private log and
-  /// publish it through the store's atomic<shared_ptr> instead.)
+  /// publish it through the store's log pointer instead.)
   void Reset(std::vector<StoredSignature> entries);
 
  private:

@@ -6,7 +6,7 @@
 #include <mutex>
 #include <random>
 #include <shared_mutex>
-#include <thread>
+#include <utility>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -183,6 +183,45 @@ std::shared_ptr<const CachedSlice> EmptySlice(std::uint64_t from) {
   return slice;
 }
 
+/// ReadSince over a log of committed length `n` (a reader's snapshot),
+/// shared by both backends. `cache` is null when caching is off; `hook`
+/// is StoreOptions::read_snapshot_hook_for_test.
+template <typename SerializeRange>
+std::shared_ptr<const CachedSlice> ReadThroughCache(
+    ReadCache* cache, std::uint64_t gen, std::uint64_t from, std::uint64_t n,
+    const std::function<void()>& hook, SignatureStore::ReadPath* path,
+    SerializeRange&& serialize) {
+  using ReadPath = SignatureStore::ReadPath;
+  if (from >= n) {
+    if (path != nullptr) *path = ReadPath::kCacheHit;
+    return EmptySlice(from);
+  }
+  if (hook) hook();
+  std::shared_ptr<const CachedSlice> prefix;
+  if (cache != nullptr) {
+    if (auto hit = cache->Lookup(gen, from); hit != nullptr) {
+      // A slice that reaches n or beyond is a hit. One ending past n was
+      // cached by a reader with a newer snapshot of the same log, so its
+      // extra entries are committed too; extending it "up to n" instead
+      // would ship a count that disagrees with its payload.
+      if (hit->upto >= n) {
+        if (path != nullptr) *path = ReadPath::kCacheHit;
+        return hit;
+      }
+      prefix = std::move(hit);
+    }
+  }
+  if (path != nullptr) {
+    *path = prefix != nullptr ? ReadPath::kCacheExtend : ReadPath::kColdScan;
+  }
+  auto slice = BuildSlice(from, n, std::move(prefix),
+                          std::forward<SerializeRange>(serialize));
+  // An insert that lost a race with a log swap is rejected by the cache's
+  // generation check — a stale-log slice is never admitted.
+  if (cache != nullptr) cache->Insert(gen, slice);
+  return slice;
+}
+
 /// Validates a replicated entry's signature bytes, filling in
 /// entry.content_id and producing the adjacency top-set. nullopt if the
 /// bytes fail to parse (lineage corruption — the primary only ships
@@ -205,6 +244,7 @@ class MonolithicStore final : public SignatureStore {
   explicit MonolithicStore(const StoreOptions& options)
       : cache_(std::max<std::size_t>(options.read_cache_slices, 1)),
         cache_enabled_(options.read_cache_slices > 0),
+        read_hook_(options.read_snapshot_hook_for_test),
         epoch_(options.epoch != 0 ? options.epoch : GenerateEpoch()) {}
 
   AddOutcome Add(UserId sender, std::int64_t day, const TopFrameKeys& tops,
@@ -316,35 +356,16 @@ class MonolithicStore final : public SignatureStore {
   std::shared_ptr<const CachedSlice> ReadSince(std::uint64_t from,
                                                ReadPath* path) override {
     std::shared_lock lock(mu_);
-    const std::uint64_t n = db_.size();
-    if (from >= n) {
-      if (path != nullptr) *path = ReadPath::kCacheHit;
-      return EmptySlice(from);
-    }
-    const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-    std::shared_ptr<const CachedSlice> prefix;
-    if (cache_enabled_) {
-      if (auto hit = cache_.Lookup(gen, from); hit != nullptr) {
-        if (hit->upto == n) {
-          if (path != nullptr) *path = ReadPath::kCacheHit;
-          return hit;
-        }
-        prefix = std::move(hit);
-      }
-    }
-    if (path != nullptr) {
-      *path = prefix != nullptr ? ReadPath::kCacheExtend : ReadPath::kColdScan;
-    }
-    auto slice = BuildSlice(
-        from, n, std::move(prefix),
+    return ReadThroughCache(
+        cache_enabled_ ? &cache_ : nullptr,
+        generation_.load(std::memory_order_relaxed), from, db_.size(),
+        read_hook_, path,
         [&](std::uint64_t lo, std::uint64_t hi, BinaryWriter& w) {
           for (std::uint64_t i = lo; i < hi; ++i) {
             w.WriteBytes(std::span<const std::uint8_t>(db_[i].bytes.data(),
                                                        db_[i].bytes.size()));
           }
         });
-    if (cache_enabled_) cache_.Insert(gen, slice);
-    return slice;
   }
 
   ReadCache::Stats read_cache_stats() const override {
@@ -429,6 +450,7 @@ class MonolithicStore final : public SignatureStore {
   std::uint64_t superseded_count_ = 0;
   mutable ReadCache cache_;
   const bool cache_enabled_;
+  const std::function<void()> read_hook_;
   std::atomic<std::uint64_t> epoch_;
   std::atomic<std::uint64_t> generation_{0};
 };
@@ -440,13 +462,13 @@ class MonolithicStore final : public SignatureStore {
 // append is published to readers — the decisions are still identical to
 // some serialized order, which is all the monolithic lock guaranteed.
 // ---------------------------------------------------------------------------
-// The log is published through an atomic shared_ptr (the same RCU
-// pattern as the dimmunix avoidance index): readers snapshot the
-// pointer and walk that log lock-free, so replacing the whole database
-// (ResetForReplication on a live follower, LoadFromFile) installs a
-// fresh log object and simply lets in-flight readers finish against the
-// retired one — no reader ever observes a log being torn down or its
-// indexes being reused.
+// The log is published as a shared_ptr behind a small mutex: readers
+// copy the pointer (one short critical section) and walk that log
+// lock-free, so replacing the whole database (ResetForReplication on a
+// live follower, LoadFromFile, Compact) installs a fresh log object and
+// simply lets in-flight readers finish against the retired one — no
+// reader ever observes a log being torn down or its indexes being
+// reused. Swaps are rare and a GET costs far more than the pointer copy.
 class ShardedStore final : public SignatureStore {
  public:
   explicit ShardedStore(const StoreOptions& options)
@@ -456,6 +478,7 @@ class ShardedStore final : public SignatureStore {
         log_(std::make_shared<SignatureLog>()),
         cache_(std::max<std::size_t>(options.read_cache_slices, 1)),
         cache_enabled_(options.read_cache_slices > 0),
+        read_hook_(options.read_snapshot_hook_for_test),
         epoch_(options.epoch != 0 ? options.epoch : GenerateEpoch()) {}
 
   AddOutcome Add(UserId sender, std::int64_t day, const TopFrameKeys& tops,
@@ -565,26 +588,9 @@ class ShardedStore final : public SignatureStore {
   std::shared_ptr<const CachedSlice> ReadSince(std::uint64_t from,
                                                ReadPath* path) override {
     const View view = ReadView();
-    const std::uint64_t n = view.log->size();
-    if (from >= n) {
-      if (path != nullptr) *path = ReadPath::kCacheHit;
-      return EmptySlice(from);
-    }
-    std::shared_ptr<const CachedSlice> prefix;
-    if (cache_enabled_) {
-      if (auto hit = cache_.Lookup(view.gen, from); hit != nullptr) {
-        if (hit->upto == n) {
-          if (path != nullptr) *path = ReadPath::kCacheHit;
-          return hit;
-        }
-        prefix = std::move(hit);
-      }
-    }
-    if (path != nullptr) {
-      *path = prefix != nullptr ? ReadPath::kCacheExtend : ReadPath::kColdScan;
-    }
-    auto slice = BuildSlice(
-        from, n, std::move(prefix),
+    return ReadThroughCache(
+        cache_enabled_ ? &cache_ : nullptr, view.gen, from, view.log->size(),
+        read_hook_, path,
         [&](std::uint64_t lo, std::uint64_t hi, BinaryWriter& w) {
           view.log->Visit(lo, hi,
                           [&](std::uint64_t, const StoredSignature& s) {
@@ -592,10 +598,6 @@ class ShardedStore final : public SignatureStore {
                                 s.bytes.data(), s.bytes.size()));
                           });
         });
-    // An insert that lost a race with a log swap is rejected by the
-    // cache's generation check — a stale-log slice is never admitted.
-    if (cache_enabled_) cache_.Insert(view.gen, slice);
-    return slice;
   }
 
   ReadCache::Stats read_cache_stats() const override {
@@ -676,42 +678,28 @@ class ShardedStore final : public SignatureStore {
   }
 
  private:
-  std::shared_ptr<SignatureLog> Log() const {
-    return log_.load(std::memory_order_acquire);
-  }
+  std::shared_ptr<SignatureLog> Log() const { return ReadView().log; }
 
-  /// A consistent (generation, log) pair, seqlock-style: the swap path
-  /// makes the generation odd, stores the log, then makes it even, so a
-  /// reader that saw a torn combination (old generation, new log or
-  /// vice versa) observes either an odd value or two different values
-  /// and retries. Same generation ⟺ same log object.
+  /// A consistent (generation, log) pair: both change together under
+  /// log_mu_, so same generation ⟺ same log object.
   struct View {
     std::uint64_t gen;
     std::shared_ptr<SignatureLog> log;
   };
   View ReadView() const {
-    for (;;) {
-      const std::uint64_t g1 = gen_.load(std::memory_order_acquire);
-      if ((g1 & 1) != 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      std::shared_ptr<SignatureLog> log = Log();
-      if (gen_.load(std::memory_order_acquire) == g1) {
-        return View{g1, std::move(log)};
-      }
-    }
+    std::lock_guard lock(log_mu_);
+    return View{gen_, log_};
   }
 
-  /// Swaps the published log + epoch under the seqlock. Caller holds
-  /// ingest_mu_ (swaps are serialized; the seqlock only shields the
-  /// lock-free readers).
+  /// Swaps the published log + epoch and moves to the next generation.
+  /// Caller holds ingest_mu_ (swaps are serialized).
   void PublishLogLocked(std::shared_ptr<SignatureLog> log,
                         std::uint64_t new_epoch) {
-    gen_.fetch_add(1, std::memory_order_acq_rel);  // odd: swap in progress
-    log_.store(std::move(log), std::memory_order_release);
+    std::shared_ptr<SignatureLog> retired;  // freed outside log_mu_
+    std::lock_guard lock(log_mu_);
+    retired = std::exchange(log_, std::move(log));
     epoch_.store(new_epoch, std::memory_order_release);
-    gen_.fetch_add(1, std::memory_order_release);  // even: next generation
+    ++gen_;
   }
 
   UserStateShards users_;
@@ -720,14 +708,15 @@ class ShardedStore final : public SignatureStore {
   /// distinct structures — no cycle). Cleared wherever users_ is.
   UserStateShards tenants_;
   DedupIndex dedup_;
-  std::atomic<std::shared_ptr<SignatureLog>> log_;
+  /// Published log and its generation (the read cache's log identity).
+  mutable std::mutex log_mu_;
+  std::shared_ptr<SignatureLog> log_;  // guarded by log_mu_
+  std::uint64_t gen_ = 0;              // guarded by log_mu_
   std::mutex ingest_mu_;
   mutable ReadCache cache_;
   const bool cache_enabled_;
+  const std::function<void()> read_hook_;
   std::atomic<std::uint64_t> epoch_;
-  /// Log-identity generation (seqlock word): even when stable, odd
-  /// mid-swap; the *user-visible* generation is the even value.
-  std::atomic<std::uint64_t> gen_{0};
 };
 
 }  // namespace

@@ -99,6 +99,11 @@ struct StoreOptions {
   /// slow-trace ring and logged (obs/trace.hpp). 0 disables slow-request
   /// tracing (the all-requests ring still fills).
   std::uint64_t slow_request_ns = 0;
+  /// Test seam: runs inside ReadSince once the reader has fixed the log
+  /// length it serves and before it consults the read cache, so a test
+  /// can interleave another writer and reader deterministically. Empty
+  /// in production.
+  std::function<void()> read_snapshot_hook_for_test;
 };
 
 /// A fresh, process-unique, nonzero log epoch.
@@ -180,7 +185,7 @@ class SignatureStore {
   /// extends the same log. The ReadCache keys slices by it, so no slice
   /// built against a retired log is ever served (the RCU-invalidation
   /// argument: swap ⇒ new generation ⇒ whole-table clear on first
-  /// access). Lock-free read; always a stable (not mid-swap) value.
+  /// access). Always a stable (not mid-swap) value.
   virtual std::uint64_t read_generation() const = 0;
 
   /// How a ReadSince was satisfied (the server's GET latency buckets).
@@ -194,7 +199,9 @@ class SignatureStore {
   /// [from, size()) — exactly the length-prefixed serialized-signature
   /// region a GET reply carries after its count prefix. Consults the 2Q
   /// cache first; a hit whose upto lags the committed length is extended
-  /// (prefix bytes reused, only [upto, size()) scanned). Never blocks
+  /// (prefix bytes reused, only [upto, size()) scanned), and one that
+  /// reaches past the length this reader saw (cached by a concurrent
+  /// reader with a newer view) is served as is. Never blocks
   /// writers on the sharded backend. A cursor at or past the committed
   /// length returns an empty, uncached slice (reported as kCacheHit —
   /// no entries were scanned). Never nullptr.

@@ -10,9 +10,10 @@
 // AvoidanceIndex is the read-optimized projection of the History the hot
 // path consults: per top-frame key, the (signature, position) candidates
 // whose outer stack ends at that lock statement. A snapshot is immutable
-// after construction and published via
-// std::atomic<std::shared_ptr<const AvoidanceIndex>> (RCU-style), so
-// readers never block. Two additions over the original PR-2 design:
+// after construction; the runtime publishes it as a shared_ptr plus a
+// sequence word, and each thread reads its own cached copy until the
+// word moves, so readers never block. Two additions over the original
+// PR-2 design:
 //
 //  * Delta rebuilds. Writers no longer deep-copy every signature on each
 //    mutation: Rebuild(prev, history) reuses the previous snapshot's

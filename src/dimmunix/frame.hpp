@@ -22,6 +22,8 @@
 
 namespace communix::dimmunix {
 
+class StackRef;
+
 /// One stack frame. `location_key` is precomputed for O(1) comparison and
 /// hash-table lookup.
 struct Frame {
@@ -95,6 +97,9 @@ class CallStack {
     }
     return true;
   }
+  /// Same test against an interned capture (stack_node.hpp). Walks the
+  /// chain top-down and compares names only where the keys agree.
+  bool MatchesSuffixOf(const StackRef& concrete) const;
 
   /// Keeps only the top `depth` frames (no-op if already shallower).
   void TrimToDepth(std::size_t depth) {

@@ -21,12 +21,15 @@
 //  * `recursion_` is owned by the current owner thread only. Ownership
 //    hand-over (release-store / CAS-acquire on `owner_word_`) orders the
 //    old owner's writes before the new owner's accesses.
-//  * `acq_stack_` is written by the owner under its ThreadContext
-//    publication lock (`state_mu_`), *before* `owner_word_` is cleared
-//    on release. Slow-path scanners read it either (a) under the
-//    holder's `state_mu_` while walking that thread's held-set, or (b)
-//    under the runtime mutex for monitors whose owner is parked in the
-//    runtime's wait loop (parked threads cannot concurrently mutate it).
+//  * `acq_stack_` is a capture (top node + depth) of the owner's
+//    interned stack, so setting it copies two words and never
+//    allocates. The owner writes it under its ThreadContext publication
+//    lock (`state_mu_`), and resets it there *before* `owner_word_` is
+//    cleared on release, so it never outlives the owner's frame table.
+//    Slow-path scanners read it either (a) under the holder's
+//    `state_mu_` while walking that thread's held-set, or (b) under the
+//    runtime mutex for monitors whose owner is parked in the runtime's
+//    wait loop (parked threads cannot concurrently mutate it).
 //  * `wait_queue_` is the FIFO of slow-path acquirers blocked on this
 //    monitor, guarded by the runtime mutex. A blocked acquirer enqueues
 //    itself when it announces the block and verifies the waiter bit is
@@ -40,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "dimmunix/frame.hpp"
+#include "dimmunix/stack_node.hpp"
 
 namespace communix::dimmunix {
 
@@ -96,7 +99,7 @@ class Monitor {
   /// Call stack the owner had when it acquired this monitor — the "outer"
   /// stack if this monitor ends up in a deadlock cycle. Guarded by the
   /// owner's ThreadContext::state_mu_.
-  CallStack acq_stack_;
+  StackRef acq_stack_;
   /// Occupancy bucket of acq_stack_'s top-frame key, cached at
   /// acquisition so the release path can decrement the adaptive gate's
   /// occupancy counter without rehashing. Same guard as acq_stack_.

@@ -10,6 +10,35 @@ namespace communix::dimmunix {
 
 std::atomic<std::uint64_t> Monitor::next_id_{1};
 
+namespace {
+
+/// One slow-path wait loop's entry in DimmunixRuntime::waiters_, taken
+/// before the loop first samples the state version it may park on and
+/// dropped when the loop ends (see DimmunixRuntime::Release).
+class WaiterRegistration {
+ public:
+  explicit WaiterRegistration(std::atomic<std::size_t>& waiters)
+      : waiters_(waiters) {}
+  ~WaiterRegistration() {
+    if (active_) waiters_.fetch_sub(1);
+  }
+  WaiterRegistration(const WaiterRegistration&) = delete;
+  WaiterRegistration& operator=(const WaiterRegistration&) = delete;
+
+  void Register() {
+    if (!active_) {
+      waiters_.fetch_add(1);
+      active_ = true;
+    }
+  }
+
+ private:
+  std::atomic<std::size_t>& waiters_;
+  bool active_ = false;
+};
+
+}  // namespace
+
 // The waiter bit lives in bit 0 of the packed owner word.
 static_assert(alignof(ThreadContext) > 1,
               "ThreadContext must be aligned so Monitor::kWaiterBit is free");
@@ -21,9 +50,7 @@ DimmunixRuntime::DimmunixRuntime(Clock& clock, Options options)
       occupancy_(options.occupancy_buckets == 0
                      ? OccupancyTable::kDefaultBuckets
                      : options.occupancy_buckets) {
-  index_locked_ = AvoidanceIndex::Build(history_, 0,
-                                        occupancy_.bucket_count());
-  index_.store(index_locked_, std::memory_order_release);
+  index_ = AvoidanceIndex::Build(history_, 0, occupancy_.bucket_count());
 }
 
 DimmunixRuntime::~DimmunixRuntime() = default;
@@ -70,7 +97,7 @@ void DimmunixRuntime::ReapDetachedLocked() {
   std::uint64_t reaped = 0;
   std::erase_if(threads_, [&](const std::unique_ptr<ThreadContext>& t) {
     if (t->detached_ && referenced.count(t.get()) == 0 &&
-        t->live_frames_.load(std::memory_order_acquire) == 0) {
+        t->top_.load(std::memory_order_acquire) == nullptr) {
       // Fold the tombstone's counter shard into the runtime's before the
       // memory goes away, so GetStats totals stay exact across churn.
       global_counters_.Absorb(t->counters_);
@@ -98,26 +125,30 @@ void DimmunixRuntime::RepublishIndexLocked() {
   const bool full = !options_.delta_index_rebuilds ||
                     options_.full_rebuild_period == 0 ||
                     ++republishes_since_full_ >= options_.full_rebuild_period;
+  std::shared_ptr<const AvoidanceIndex> next;
   if (full) {
-    index_locked_ =
-        AvoidanceIndex::Build(history_, version, occupancy_.bucket_count());
+    next = AvoidanceIndex::Build(history_, version, occupancy_.bucket_count());
     republishes_since_full_ = 0;
     global_counters_.index_full_rebuilds.fetch_add(1,
                                                    std::memory_order_relaxed);
   } else {
-    index_locked_ = AvoidanceIndex::Rebuild(*index_locked_, history_, version,
-                                            occupancy_.bucket_count());
+    next = AvoidanceIndex::Rebuild(*index_, history_, version,
+                                   occupancy_.bucket_count());
     global_counters_.index_delta_rebuilds.fetch_add(1,
                                                     std::memory_order_relaxed);
     global_counters_.index_entries_reused.fetch_add(
-        index_locked_->entries_reused(), std::memory_order_relaxed);
+        next->entries_reused(), std::memory_order_relaxed);
   }
-  index_.store(index_locked_, std::memory_order_release);
+  {
+    std::lock_guard pub(index_mu_);
+    index_ = std::move(next);
+    index_seq_.fetch_add(1, std::memory_order_release);
+  }
   global_counters_.index_republishes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DimmunixRuntime::PublishAcquisition(ThreadContext& ctx, Monitor& m,
-                                         const CallStack& stack) {
+                                         StackRef stack) {
   const std::uint32_t bucket = occupancy_.Bucket(stack.TopKey());
   // Occupancy discipline: enter the bucket *before* the holding becomes
   // visible, leave it only *after* retraction (UnpublishAcquisition) —
@@ -139,7 +170,7 @@ void DimmunixRuntime::UnpublishAcquisition(ThreadContext& ctx, Monitor& m) {
     std::lock_guard pub(ctx.state_mu_);
     auto it = std::find(ctx.held_.begin(), ctx.held_.end(), &m);
     if (it != ctx.held_.end()) ctx.held_.erase(it);
-    m.acq_stack_ = CallStack();
+    m.acq_stack_ = StackRef();
     bucket = m.acq_bucket_;
     m.acq_bucket_ = 0;
     m.recursion_ = 0;
@@ -148,7 +179,7 @@ void DimmunixRuntime::UnpublishAcquisition(ThreadContext& ctx, Monitor& m) {
 }
 
 std::vector<ThreadContext*> DimmunixRuntime::FindImminentInstantiation(
-    const ThreadContext& ctx, const Monitor& m, const CallStack& stack,
+    const ThreadContext& ctx, const Monitor& m, StackRef stack,
     const AvoidanceIndex& index, std::uint64_t* matched_content_id) const {
   const auto* cands = index.CandidatesForTopFrame(stack.TopKey());
   if (cands == nullptr) return {};
@@ -282,7 +313,7 @@ std::vector<DimmunixRuntime::CycleNode> DimmunixRuntime::FindLockCycle(
 }
 
 Signature DimmunixRuntime::ExtractSignature(
-    ThreadContext& /*ctx*/, Monitor& m, const CallStack& inner_of_ctx,
+    Monitor& m, StackRef inner_of_ctx,
     const std::vector<CycleNode>& chain) const {
   // Every monitor referenced here is owned by a thread parked in the
   // runtime's wait loop (the cycle's precondition), so its acq_stack_ is
@@ -293,16 +324,17 @@ Signature DimmunixRuntime::ExtractSignature(
   // ctx holds the monitor the last chain thread waits for.
   {
     SignatureEntry e;
-    e.outer = chain.back().waits_for->acq_stack_;
-    e.inner = inner_of_ctx;
+    e.outer = chain.back().waits_for->acq_stack_.Materialize();
+    e.inner = inner_of_ctx.Materialize();
     entries.push_back(std::move(e));
   }
   // chain[0] holds m (waited by ctx); chain[i>0] holds chain[i-1]'s
   // waited monitor.
   for (std::size_t i = 0; i < chain.size(); ++i) {
     SignatureEntry e;
-    e.outer = (i == 0) ? m.acq_stack_ : chain[i - 1].waits_for->acq_stack_;
-    e.inner = chain[i].thread->waiting_stack_;
+    e.outer = ((i == 0) ? m.acq_stack_ : chain[i - 1].waits_for->acq_stack_)
+                  .Materialize();
+    e.inner = chain[i].thread->waiting_stack_.Materialize();
     entries.push_back(std::move(e));
   }
   return Signature(std::move(entries));
@@ -320,37 +352,45 @@ Status DimmunixRuntime::Acquire(ThreadContext& ctx, Monitor& m) {
       ++m.recursion_;
       return Status::Ok();
     }
-    // Snapshot the shadow stack before any locking: it belongs to the
-    // calling thread, and copying it is the most expensive part of an
-    // uncontended acquisition.
-    const CallStack stack = ctx.CaptureStack(options_.max_stack_depth);
+    // Capture the shadow stack before any locking: it belongs to the
+    // calling thread, and the capture is a pointer and a depth into its
+    // interned frames, which every publication below copies as is.
+    const StackRef stack = ctx.Capture(options_.max_stack_depth);
     if (TryFastAcquire(ctx, m, stack)) return Status::Ok();
     ctx.counters_.slow_path_entries.fetch_add(1, std::memory_order_relaxed);
     return AcquireSlow(ctx, m, stack);
   }
 
-  const CallStack stack = ctx.CaptureStack(options_.max_stack_depth);
+  const StackRef stack = ctx.Capture(options_.max_stack_depth);
   ctx.counters_.slow_path_entries.fetch_add(1, std::memory_order_relaxed);
   return AcquireSlow(ctx, m, stack);
 }
 
+const AvoidanceIndex& DimmunixRuntime::FastPathIndex(ThreadContext& ctx) {
+  if (index_seq_.load(std::memory_order_acquire) != ctx.index_seq_) {
+    std::lock_guard pub(index_mu_);
+    ctx.index_ = index_;
+    ctx.index_seq_ = index_seq_.load(std::memory_order_relaxed);
+  }
+  return *ctx.index_;
+}
+
 bool DimmunixRuntime::TryFastAcquire(ThreadContext& ctx, Monitor& m,
-                                     const CallStack& stack) {
+                                     StackRef stack) {
   if (options_.avoidance_enabled) {
-    const std::shared_ptr<const AvoidanceIndex> index =
-        index_.load(std::memory_order_acquire);
-    if (!index->empty() &&
-        index->CandidatesForTopFrame(stack.TopKey()) != nullptr) {
+    const AvoidanceIndex& index = FastPathIndex(ctx);
+    if (!index.empty() &&
+        index.CandidatesForTopFrame(stack.TopKey()) != nullptr) {
       // Some enabled signature has an outer stack ending at this lock
       // statement: the instantiation check must run under the lock.
       return false;
     }
     // No candidates: no enabled signature gates this acquisition *now*,
     // so its own avoidance check is a no-op. The acquisition linearizes
-    // at the index load above — a signature published after it behaves
-    // as if installed just after this acquisition's gate was evaluated,
-    // exactly like a global-lock acquisition that ran just before the
-    // install. The pending slot below keeps the other half of that
+    // at the sequence-word read above — a signature published after it
+    // behaves as if installed just after this acquisition's gate was
+    // evaluated, exactly like a global-lock acquisition that ran just
+    // before the install. The pending slot below keeps the other half of that
     // equivalence: such an acquisition must still be *visible* to every
     // later instantiation scan.
   }
@@ -391,7 +431,7 @@ bool DimmunixRuntime::TryFastAcquire(ThreadContext& ctx, Monitor& m,
   {
     std::lock_guard pub(ctx.state_mu_);
     m.recursion_ = 1;
-    m.acq_stack_ = std::move(ctx.pending_stack_);
+    m.acq_stack_ = ctx.pending_stack_;
     m.acq_bucket_ = bucket;  // the pending entry transfers to the holding
     ctx.held_.push_back(&m);
     ctx.pending_acquire_ = nullptr;
@@ -401,7 +441,7 @@ bool DimmunixRuntime::TryFastAcquire(ThreadContext& ctx, Monitor& m,
 }
 
 Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
-                                    const CallStack& stack) {
+                                    StackRef stack) {
   // Callbacks collected under the lock, invoked after unlocking.
   std::vector<std::pair<SignatureCallback, Signature>> pending;
   Status result = Status::Ok();
@@ -415,18 +455,15 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
     }
 
     // ---- avoidance (§II-A) ----
-    if (options_.avoidance_enabled && !index_locked_->empty()) {
+    if (options_.avoidance_enabled && !index_->empty()) {
       const std::uint64_t top_key = stack.TopKey();
       std::unordered_set<std::uint64_t> counted;
+      WaiterRegistration waiter(waiters_);
       for (;;) {
-        // The version must be sampled before the scan: a fast-path
-        // release between the scan and the park bumps it, and the gated
-        // wait then re-scans instead of sleeping on a stale decision.
-        const std::uint64_t observed = state_version_.load();
         // Re-probed every iteration: a republish while we slept may have
         // changed (or emptied) the candidate set for this key.
         const AvoidanceIndex::KeySlot* slot =
-            index_locked_->SlotForTopFrame(top_key);
+            index_->SlotForTopFrame(top_key);
         if (slot == nullptr) break;  // no candidates gate this site
         // Adaptive gate: if no thread occupies any *other* position of
         // any candidate signature (all peer buckets zero), the
@@ -454,12 +491,18 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
           ctx.counters_.sampled_verification_scans.fetch_add(
               1, std::memory_order_relaxed);
         }
+        // A scan that finds an instantiation parks on the version sampled
+        // here, so register first, then sample, then scan: a fast-path
+        // release either sees the registration and bumps the version, or
+        // is seen by the scan (see Release).
+        waiter.Register();
+        const std::uint64_t observed = state_version_.load();
         std::uint64_t matched = 0;
         ++slot->stats->scans;
         ctx.counters_.instantiation_scans.fetch_add(1,
                                                     std::memory_order_relaxed);
         auto occupants = FindImminentInstantiation(ctx, m, stack,
-                                                   *index_locked_, &matched);
+                                                   *index_, &matched);
         if (occupants.empty()) break;
         ++slot->stats->instantiations;
         if (verifying_skip) {
@@ -518,6 +561,8 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
     bool counted_contention = false;
     bool announced = false;
     bool granted = false;
+    WaiterRegistration waiter(waiters_);
+    waiter.Register();
     for (;;) {
       const std::uint64_t observed = state_version_.load();
       // Direct handoff: a releasing owner that saw our queue entry wrote
@@ -544,7 +589,7 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
       if (options_.detection_enabled) {
         const auto cycle = FindLockCycle(ctx, m);
         if (!cycle.empty()) {
-          Signature sig = ExtractSignature(ctx, m, stack, cycle);
+          Signature sig = ExtractSignature(m, stack, cycle);
           ctx.counters_.deadlocks_detected.fetch_add(
               1, std::memory_order_relaxed);
           const bool novel_content =
@@ -663,22 +708,28 @@ void DimmunixRuntime::Release(ThreadContext& ctx, Monitor& m) {
       return;
     }
     UnpublishAcquisition(ctx, m);
-    // seq_cst on the owner clear, version bump and sleeper probe: if the
-    // probe reads 0, any concurrent would-be sleeper's predicate check is
-    // ordered after our bump and refuses to park (no lost wakeup); if it
-    // reads >0, we take the mutex so the notify cannot land in a waiter's
-    // check-to-park window. The clear is a CAS, not a store: it only
-    // frees the word if the waiter bit is clear.
+    // seq_cst on the owner clear and the waiters_ probe, paired with a
+    // waiter's seq_cst registration, which precedes its version sample
+    // and its examination of the world. If the probe reads 0, that
+    // examination is ordered after our clear and retraction and sees
+    // them, so nobody can park on state we changed: the release writes
+    // nothing shared. Otherwise bump the version (a registered waiter's
+    // park predicate then refuses to sleep), and if some thread is
+    // already parked, take the mutex so the notify cannot land in a
+    // waiter's check-to-park window. The clear is a CAS, not a store: it
+    // only frees the word if the waiter bit is clear.
     std::uintptr_t expected = Monitor::Pack(&ctx, false);
     if (m.owner_word_.compare_exchange_strong(expected, 0)) {
-      state_version_.fetch_add(1);
-      if (sleepers_.load() > 0) {
-        std::lock_guard lock(mu_);
-        cv_.notify_all();
-      } else {
-        ctx.counters_.fast_path_releases.fetch_add(1,
-                                                   std::memory_order_relaxed);
+      if (waiters_.load() > 0) {
+        state_version_.fetch_add(1);
+        if (sleepers_.load() > 0) {
+          std::lock_guard lock(mu_);
+          cv_.notify_all();
+          return;
+        }
       }
+      ctx.counters_.fast_path_releases.fetch_add(1,
+                                                 std::memory_order_relaxed);
       return;
     }
     // Waiter bit set: a blocked acquirer is queued (it flags the word
@@ -733,6 +784,7 @@ void DimmunixRuntime::HandoffLocked(ThreadContext& ctx, Monitor& m) {
 void DimmunixRuntime::WaitForStateChange(ThreadContext& ctx,
                                          std::unique_lock<std::mutex>& lock,
                                          std::uint64_t observed) {
+  assert(waiters_.load() > 0 && "parking without a waiter registration");
   ctx.counters_.wait_rounds.fetch_add(1, std::memory_order_relaxed);
   sleepers_.fetch_add(1);
   ctx.park_version_.store(observed, std::memory_order_release);
@@ -858,7 +910,7 @@ DimmunixRuntime::Stats DimmunixRuntime::GetStats() const {
   // Gauges: current table geometry + the published index's collision
   // count (not counter shards — they describe state, not events).
   s.occupancy_buckets = occupancy_.bucket_count();
-  s.occupancy_key_collisions = index_locked_->key_bucket_collisions();
+  s.occupancy_key_collisions = index_->key_bucket_collisions();
   return s;
 }
 

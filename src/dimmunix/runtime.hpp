@@ -32,12 +32,16 @@
 //    publishes its holding under the calling thread's own publication
 //    lock, never touching the runtime-wide mutex. Release symmetrically
 //    fast-paths when no waiter or suspended avoider could need waking.
-//    The index is an immutable snapshot republished (RCU-style, via
-//    std::atomic<std::shared_ptr>) by every history writer; readers
-//    never lock. Writers publish *delta* rebuilds derived from the
-//    previous snapshot (signature entries are shared, not re-copied)
-//    with a periodic full rebuild as a safety net. A fast acquisition
-//    linearizes at its index load: it behaves exactly like a global-lock
+//    The index is an immutable snapshot republished by every history
+//    writer, which then bumps a sequence word. Each thread keeps its own
+//    shared_ptr copy of the snapshot and re-copies it (under a small
+//    publication mutex) only when the sequence word has moved, so a
+//    steady-state acquisition reads one shared word and writes none; a
+//    retired snapshot is freed once no thread's copy refers to it.
+//    Writers publish *delta* rebuilds derived from the previous snapshot
+//    (signature entries are shared, not re-copied) with a periodic full
+//    rebuild as a safety net. A fast acquisition linearizes at its
+//    sequence-word read: it behaves exactly like a global-lock
 //    acquisition that ran just before any concurrently-learned signature
 //    was installed.
 //
@@ -59,12 +63,16 @@
 //    legacy behavior, kept as the reference for the fast-vs-global
 //    equivalence property test.
 //
-//    Waits are version-gated: every state change bumps `state_version_`,
-//    and sleepers re-check it before parking, so a fast-path release
-//    (which cannot hold `mu_` while a waiter decides to sleep) can never
-//    cause a lost wakeup — if it observes no sleepers after bumping the
-//    version, any concurrent would-be sleeper is guaranteed to observe
-//    the bump and re-scan instead of parking.
+//    Waits are version-gated: every state change under `mu_` bumps
+//    `state_version_`, and sleepers re-check it before parking. A
+//    slow-path loop that may park registers in `waiters_` *before* it
+//    samples the version it would park on. A fast-path release (which
+//    cannot hold `mu_` while a waiter decides to sleep) frees the owner
+//    word and then probes `waiters_`: if it reads 0, every later
+//    registrant examines the world after the release and sees it, so the
+//    release writes nothing shared; otherwise it bumps the version, so
+//    a registered waiter re-scans instead of parking, and it wakes the
+//    parked ones under `mu_`. No wakeup is lost either way.
 //
 //  * Fair, deterministic wakeup. Monitor handoff is non-barging: a
 //    blocked acquirer enqueues itself on the monitor's wait queue and
@@ -267,8 +275,11 @@ class DimmunixRuntime {
 
   /// Candidate-free + uncontended-CAS attempt; true iff the acquisition
   /// completed without the runtime lock.
-  bool TryFastAcquire(ThreadContext& ctx, Monitor& m, const CallStack& stack);
-  Status AcquireSlow(ThreadContext& ctx, Monitor& m, const CallStack& stack);
+  bool TryFastAcquire(ThreadContext& ctx, Monitor& m, StackRef stack);
+  Status AcquireSlow(ThreadContext& ctx, Monitor& m, StackRef stack);
+  /// `ctx`'s copy of the published avoidance index, refreshed if a
+  /// republish happened since it was taken (owning thread only).
+  const AvoidanceIndex& FastPathIndex(ThreadContext& ctx);
   void ReleaseSlow(ThreadContext& ctx, Monitor& m);
 
   /// If granting (ctx, m, stack) completes an instantiation of an enabled
@@ -277,7 +288,7 @@ class DimmunixRuntime {
   /// mu_; the per-thread held-sets are sampled under their publication
   /// locks so fast-path holdings are visible.
   std::vector<ThreadContext*> FindImminentInstantiation(
-      const ThreadContext& ctx, const Monitor& m, const CallStack& stack,
+      const ThreadContext& ctx, const Monitor& m, StackRef stack,
       const AvoidanceIndex& index, std::uint64_t* matched_content_id) const;
 
   /// True iff suspending `ctx` yielding to `occupants` would close a
@@ -294,8 +305,9 @@ class DimmunixRuntime {
   std::vector<CycleNode> FindLockCycle(const ThreadContext& ctx,
                                        const Monitor& m) const;
 
-  Signature ExtractSignature(ThreadContext& ctx, Monitor& m,
-                             const CallStack& inner_of_ctx,
+  /// Materializes the cycle's captured stacks into a signature — the
+  /// only place the runtime copies frames out of the interned chains.
+  Signature ExtractSignature(Monitor& m, StackRef inner_of_ctx,
                              const std::vector<CycleNode>& chain) const;
 
   /// Republishes the avoidance index after a history mutation and bumps
@@ -314,8 +326,7 @@ class DimmunixRuntime {
 
   /// Grants `m` to `ctx`: records recursion/acq stack/held entry under
   /// ctx's publication lock. Ownership of `m` must already be claimed.
-  void PublishAcquisition(ThreadContext& ctx, Monitor& m,
-                          const CallStack& stack);
+  void PublishAcquisition(ThreadContext& ctx, Monitor& m, StackRef stack);
   /// Reverse of PublishAcquisition; runs before ownership is cleared.
   void UnpublishAcquisition(ThreadContext& ctx, Monitor& m);
 
@@ -327,6 +338,10 @@ class DimmunixRuntime {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  /// Slow-path wait loops that may park: registered before they sample
+  /// the state version (see the class comment). A fast-path release bumps
+  /// the version only while this is non-zero.
+  std::atomic<std::size_t> waiters_{0};
   /// Threads currently blocked in (or committing to) cv_.wait. Atomic so
   /// the fast-path release can test it without mu_.
   std::atomic<std::size_t> sleepers_{0};
@@ -340,10 +355,11 @@ class DimmunixRuntime {
     if (sleepers_.load() > 0) cv_.notify_all();
   }
   /// Parks `ctx` until the state version moves past `observed` *and* the
-  /// wake turnstile releases it (see IsWakeTurnLocked). Caller holds mu_
-  /// and must have loaded `observed` *before* examining the state it
-  /// decided to wait on. Publishes the park through the context's
-  /// parked_/park_version_ pair for the schedule harness.
+  /// wake turnstile releases it (see IsWakeTurnLocked). Caller holds mu_,
+  /// is registered in waiters_, and must have loaded `observed` after
+  /// registering and *before* examining the state it decided to wait on.
+  /// Publishes the park through the context's parked_/park_version_ pair
+  /// for the schedule harness.
   void WaitForStateChange(ThreadContext& ctx,
                           std::unique_lock<std::mutex>& lock,
                           std::uint64_t observed);
@@ -383,11 +399,14 @@ class DimmunixRuntime {
   /// later still see occupants that acquired earlier.
   OccupancyTable occupancy_;
 
-  /// Immutable snapshot the lock-free read side consults.
-  std::atomic<std::shared_ptr<const AvoidanceIndex>> index_;
-  /// The same snapshot, readable under mu_ without the atomic round-trip
-  /// (slow path + republish).
-  std::shared_ptr<const AvoidanceIndex> index_locked_;  // guarded by mu_
+  /// Current immutable index snapshot. Replaced under both mu_ and
+  /// index_mu_, so the slow path reads it under mu_ and a fast-path
+  /// refresh copies it under index_mu_.
+  std::shared_ptr<const AvoidanceIndex> index_;
+  mutable std::mutex index_mu_;
+  /// Publication sequence of index_, bumped under index_mu_ with every
+  /// replacement. Fast acquirers only read it (see FastPathIndex).
+  std::atomic<std::uint64_t> index_seq_{1};
   std::atomic<std::uint64_t> history_version_{0};
   /// Republishes since the last full rebuild (guarded by mu_).
   std::uint32_t republishes_since_full_ = 0;

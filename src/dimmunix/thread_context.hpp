@@ -7,14 +7,24 @@
 // This yields deterministic, portable stacks with the same matching
 // semantics as JVM stack traces.
 //
+// The shadow stack is a pointer to the top node of a chain of interned
+// frames (stack_node.hpp). A push resolves the frame in the thread's own
+// FrameTable, a pop follows the parent link, and a capture is the top
+// pointer plus a depth — O(1), with no allocation and no string copy.
+// Captures stay valid after the stack moves on because nodes are
+// immutable and live as long as this context.
+//
 // Concurrency: fields fall into three guard classes.
-//  * `stack_` — owning thread only, never shared.
-//  * `held_` (plus the acq_stack_/recursion_ of the monitors in it) —
-//    published state the avoidance scanner must see even for fast-path
-//    acquisitions. Writes happen under this thread's `state_mu_`; the
-//    scanner (which runs under the runtime mutex) takes `state_mu_` per
-//    scanned thread. The fast path therefore only ever touches its own
-//    cache-local lock, never the runtime-wide mutex.
+//  * `top_`, `frames_`, `index_` — written by the owning thread only.
+//    `top_` is atomic only so the reaper can see the stack drain.
+//  * `held_`, the pending-acquisition slot (plus the acq_stack_/
+//    recursion_ of the monitors in `held_`) — published state the
+//    avoidance scanner must see even for fast-path acquisitions. Writes
+//    happen under this thread's `state_mu_`; the scanner (which runs
+//    under the runtime mutex) takes `state_mu_` per scanned thread. The
+//    fast path therefore only ever touches its own cache-local lock,
+//    never the runtime-wide mutex. Publishing a capture copies a
+//    StackRef, so nothing is allocated under `state_mu_`.
 //  * `waiting_for_`, `waiting_stack_`, `in_avoidance_`, `yield_targets_`,
 //    `detached_` — written exclusively under the runtime mutex (these
 //    only change on the slow path).
@@ -22,15 +32,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dimmunix/frame.hpp"
+#include "dimmunix/stack_node.hpp"
 #include "dimmunix/stats.hpp"
 
 namespace communix::dimmunix {
 
+class AvoidanceIndex;
 class Monitor;
 class DimmunixRuntime;
 
@@ -40,35 +54,39 @@ class ThreadContext {
   const std::string& name() const { return name_; }
 
   // ---- shadow stack: called only by the owning thread ----
-  void PushFrame(Frame frame) {
-    stack_.push_back(std::move(frame));
-    live_frames_.fetch_add(1, std::memory_order_relaxed);
+  void PushFrame(const Frame& frame) { SetTop(frames_.Child(top(), frame)); }
+  void PushFrame(std::string_view class_name, std::string_view method,
+                 std::uint32_t line) {
+    SetTop(frames_.Child(top(), class_name, method, line));
   }
   void PopFrame() {
-    if (!stack_.empty()) {
-      stack_.pop_back();
-      // The release-decrement is the owner's last touch of a popped
-      // frame: once the count hits zero after DetachThread, the runtime
-      // may reclaim this context (see ReapDetachedLocked).
-      live_frames_.fetch_sub(1, std::memory_order_release);
+    if (const StackNode* t = top()) {
+      // The release-store is the owner's last touch of its frames: once
+      // the stack is empty after DetachThread, the runtime may reclaim
+      // this context and its FrameTable (see ReapDetachedLocked).
+      top_.store(t->parent, std::memory_order_release);
     }
   }
   /// Updates the line of the top frame (execution advanced within the
   /// current method). No-op on an empty stack.
   void SetLine(std::uint32_t line) {
-    if (!stack_.empty()) {
-      stack_.back().line = line;
-      stack_.back().RecomputeKey();
-    }
+    const StackNode* t = top();
+    if (t != nullptr && t->line != line) SetTop(frames_.WithLine(t, line));
   }
-  std::size_t stack_depth() const { return stack_.size(); }
+  std::size_t stack_depth() const {
+    const StackNode* t = top();
+    return t == nullptr ? 0 : t->depth;
+  }
 
-  /// Snapshot of the current stack, truncated to the top `max_depth`
-  /// frames.
+  /// The current stack, truncated to the top `max_depth` frames. O(1):
+  /// the capture shares the interned nodes, which stay valid while this
+  /// context lives.
+  StackRef Capture(std::size_t max_depth) const {
+    return StackRef(top(), max_depth);
+  }
+  /// Copy of the current stack, truncated to the top `max_depth` frames.
   CallStack CaptureStack(std::size_t max_depth) const {
-    if (stack_.size() <= max_depth) return CallStack(stack_);
-    return CallStack(std::vector<Frame>(
-        stack_.end() - static_cast<std::ptrdiff_t>(max_depth), stack_.end()));
+    return Capture(max_depth).Materialize();
   }
 
  private:
@@ -80,11 +98,25 @@ class ThreadContext {
   const std::uint64_t id_;
   const std::string name_;
 
-  std::vector<Frame> stack_;  // owning thread only
-  /// Outstanding shadow-stack frames. ScopedFrame guards routinely pop
-  /// *after* DetachThread (scope exit order), so the reaper must not free
-  /// a tombstoned context until this count has drained to zero.
-  std::atomic<std::size_t> live_frames_{0};
+  const StackNode* top() const { return top_.load(std::memory_order_relaxed); }
+  void SetTop(const StackNode* node) {
+    top_.store(node, std::memory_order_relaxed);
+  }
+
+  /// Interned frames of this thread's stacks (owning thread only).
+  FrameTable frames_;
+  /// Top of the shadow stack; nullptr when empty. ScopedFrame guards
+  /// routinely pop *after* DetachThread (scope exit order), so the
+  /// reaper must not free a tombstoned context until this reads nullptr.
+  std::atomic<const StackNode*> top_{nullptr};
+
+  /// This thread's copy of the runtime's avoidance index and the
+  /// publication sequence it was taken at (owning thread only). The fast
+  /// path refreshes it only when the runtime's sequence word moves, so a
+  /// steady-state acquisition reads one shared word and writes nothing
+  /// shared.
+  std::shared_ptr<const AvoidanceIndex> index_;
+  std::uint64_t index_seq_ = 0;
 
   /// Publication lock for `held_`, the pending-acquisition slot, and the
   /// acq_stack_ of owned monitors; see the class comment. Uncontended in
@@ -98,7 +130,7 @@ class ThreadContext {
   /// blocked at") in every global-lock serialization, so advertising the
   /// attempt is exactly equivalent.
   Monitor* pending_acquire_ = nullptr;
-  CallStack pending_stack_;
+  StackRef pending_stack_;
 
   /// This thread's shard of the runtime statistics; bumped lock-free by
   /// the owning thread, summed by DimmunixRuntime::GetStats, folded into
@@ -115,19 +147,20 @@ class ThreadContext {
 
   // ---- guarded by DimmunixRuntime::mu_ ----
   Monitor* waiting_for_ = nullptr;  // blocked on this monitor's owner
-  CallStack waiting_stack_;         // stack snapshot at block time
+  StackRef waiting_stack_;          // stack capture at block time
   bool in_avoidance_ = false;       // suspended by the avoidance module
   std::vector<ThreadContext*> yield_targets_;  // occupants we yield to
   bool detached_ = false;
 };
 
-/// RAII method-entry guard: pushes a frame, pops it on scope exit.
+/// RAII method-entry guard: pushes a frame, pops it on scope exit. The
+/// names are interned on first use, so they need not outlive the guard.
 class ScopedFrame {
  public:
-  ScopedFrame(ThreadContext& ctx, std::string class_name, std::string method,
-              std::uint32_t line)
+  ScopedFrame(ThreadContext& ctx, std::string_view class_name,
+              std::string_view method, std::uint32_t line)
       : ctx_(ctx) {
-    ctx_.PushFrame(Frame(std::move(class_name), std::move(method), line));
+    ctx_.PushFrame(class_name, method, line);
   }
   ~ScopedFrame() { ctx_.PopFrame(); }
 

@@ -11,6 +11,7 @@
 #include "../testutil.hpp"
 #include "communix/store/read_cache.hpp"
 #include "communix/store/signature_store.hpp"
+#include "util/serde.hpp"
 
 namespace communix::store {
 namespace {
@@ -51,6 +52,18 @@ TEST(ReadCacheTest, ExtensionReplacesInPlace) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->upto, 25u);
   EXPECT_EQ(cache.resident(), 1u);
+}
+
+TEST(ReadCacheTest, ShorterSliceNeverReplacesLonger) {
+  // A reader with an older view of the log can finish after one with a
+  // newer view; its insert must not roll the cached slice back.
+  ReadCache cache(8);
+  cache.Insert(1, Slice(0, 25));
+  cache.Insert(1, Slice(0, 10));
+  const auto hit = cache.Lookup(1, 0);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->upto, 25u);
+  EXPECT_EQ(hit->count, 25u);
 }
 
 TEST(ReadCacheTest, OneShotCursorsWashThroughProbation) {
@@ -240,6 +253,63 @@ TEST_P(ReadSinceTest, CompactInvalidatesAndRepliesStayConsistent) {
   EXPECT_EQ(store->ReadSince(0)->count, 10u);
   // Cached and cold agree on the compacted log too.
   EXPECT_EQ(store->ReadSince(0)->payload, store->ReadSince(0)->payload);
+}
+
+/// Entries actually carried by a slice's payload.
+std::uint32_t PayloadEntries(const CachedSlice& slice) {
+  BinaryReader r(std::span<const std::uint8_t>(slice.payload.data(),
+                                               slice.payload.size()));
+  std::uint32_t n = 0;
+  while (!r.AtEnd()) {
+    r.ReadBytes();
+    if (!r.ok()) return ~0u;
+    ++n;
+  }
+  return n;
+}
+
+TEST_P(ReadSinceTest, StaleSnapshotNeverShipsAMismatchedCount) {
+  // Poll A fixes its view of the log (10 entries); before it consults the
+  // cache, an ADD lands and poll B caches the 11-entry slice for the same
+  // cursor. A must not extend B's slice "up to 10" (a reply whose count
+  // says 10 over an 11-entry payload), and the cache must end up holding
+  // the 11-entry slice. The sharded backend reads lock-free, so the hook
+  // runs B to completion inside A; the monolithic one holds its read lock
+  // across A, so B's ADD waits until A is done.
+  std::unique_ptr<SignatureStore> store;
+  std::thread poll_b;
+  std::atomic<bool> fired{false};
+  StoreOptions opts;
+  opts.backend = GetParam();
+  opts.user_shards = 4;
+  opts.dedup_shards = 4;
+  opts.read_snapshot_hook_for_test = [&] {
+    if (fired.exchange(true)) return;
+    poll_b = std::thread([&] {
+      Add(*store, 10);
+      const auto b = store->ReadSince(0);
+      EXPECT_EQ(b->count, 11u);
+      EXPECT_EQ(PayloadEntries(*b), b->count);
+    });
+    if (GetParam() == Backend::kSharded) poll_b.join();
+  };
+  store = SignatureStore::Create(opts);
+  for (std::uint32_t i = 0; i < 10; ++i) Add(*store, i);
+
+  const auto a = store->ReadSince(0);
+  if (poll_b.joinable()) poll_b.join();
+  ASSERT_TRUE(fired.load());
+  EXPECT_EQ(PayloadEntries(*a), a->count);
+  EXPECT_EQ(a->upto - a->from, a->count);
+  EXPECT_EQ(a->count, GetParam() == Backend::kSharded ? 11u : 10u);
+
+  SignatureStore::ReadPath path{};
+  const auto next = store->ReadSince(0, &path);
+  EXPECT_EQ(path, SignatureStore::ReadPath::kCacheHit);
+  ASSERT_EQ(next->count, 11u);
+  auto cold = Make(0);
+  for (std::uint32_t i = 0; i <= 10; ++i) Add(*cold, i);
+  EXPECT_EQ(next->payload, cold->ReadSince(0)->payload);
 }
 
 TEST_P(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {

@@ -26,8 +26,9 @@
 # with a mid-run map bump (suite ShardedSmoke).
 #
 # The default mode also repeats the monitor wake-path stress (many
-# waiters + churning bargers, handoff racing an RCU index republish)
-# beyond its single ctest pass.
+# waiters + churning bargers, handoff racing an index republish) beyond
+# its single ctest pass, and builds and smoke-runs the repository
+# benchmark (perfbench/: its tests plus a 5 s app_locks run).
 #
 # --tsan: ThreadSanitizer build (separate build-tsan dir) running the
 # dimmunix + util + cluster test binaries — the concurrency-bearing
@@ -49,9 +50,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake -B build-tsan -S . -DCOMMUNIX_TSAN=ON
   cmake --build build-tsan -j"${JOBS}" --target dimmunix_tests util_tests \
         cluster_tests communix_tests net_tests communix_server communix_stats
-  # tools/tsan.supp scopes out a libstdc++ atomic<shared_ptr> internal
-  # (relaxed spinlock unlock in _Sp_atomic::load) TSAN cannot model.
-  TSAN="halt_on_error=1 suppressions=$(pwd)/tools/tsan.supp"
+  # No suppressions: nothing in src/ uses std::atomic<std::shared_ptr>,
+  # whose libstdc++ lock-bit protocol TSAN cannot model.
+  TSAN="halt_on_error=1"
   TSAN_OPTIONS="${TSAN}" ./build-tsan/dimmunix_tests
   # Wake-path focus under TSAN: the direct-handoff fairness suite (strict
   # no-barging protocol, wake-path stress, handoff x RCU-republish
@@ -197,6 +198,19 @@ obs_cleanup
 trap - EXIT
 echo "ci: observability smoke passed (kStats scrape of both daemons," \
      "ledger ${SHIPPED}==${APPLIED}, JSON snapshot re-rendered)"
+
+# Benchmark build guard: the repository benchmark (perfbench/) compiles
+# src/ itself, so an API change that breaks it fails here. Its own tests,
+# then a short app_locks run that must report "correct": true.
+python3 perfbench/run.py --test
+BENCH_JSON="$(python3 perfbench/run.py --workload app_locks --seed 1 \
+    --seconds 5 --trace 0 | tail -n 1)"
+if ! printf '%s' "${BENCH_JSON}" | python3 -c \
+    'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)'; then
+  echo "ci: perfbench app_locks smoke not correct: ${BENCH_JSON}"
+  exit 1
+fi
+echo "ci: perfbench smoke passed (benchmark tests, 5 s app_locks run correct)"
 
 ./build/fig2_server_throughput --smoke --compare --replicas=2 --groups=2 \
     --json=BENCH_fig2.json
