@@ -14,8 +14,8 @@
 //
 // A second section measures the *clean-history* instrumentation itself —
 // the fast-path/global-lock comparison: per-acquisition and per-release
-// latency (relaxed-atomic LatencyMonitors), the fast-path hit rate, and
-// the slow-path entry count, for both RuntimeMode settings. On this
+// mean latency (sim::PairLatency histograms), the fast-path hit rate,
+// and the slow-path entry count, for both RuntimeMode settings. On this
 // workload every acquisition is candidate-free, so in kFastPath mode the
 // slow path is entered only under CAS contention.
 //
@@ -30,18 +30,16 @@
 #include "sim/attacker.hpp"
 #include "sim/workload.hpp"
 #include "util/clock.hpp"
-#include "util/latency_monitor.hpp"
 
 namespace {
 
-using communix::LatencyMonitors;
-using communix::LatencyOp;
 using communix::VirtualClock;
 using communix::dimmunix::DimmunixRuntime;
 using communix::dimmunix::RuntimeMode;
 using communix::dimmunix::SignatureOrigin;
 using communix::sim::ContendedWorkload;
 using communix::sim::MakeCriticalPathBatch;
+using communix::sim::PairLatency;
 using communix::sim::TableIIProfile;
 
 constexpr std::size_t kSignatures = 20;  // paper: 20 signatures in history
@@ -116,12 +114,12 @@ ModeResult RunCleanHistory(const TableIIProfile& row, RuntimeMode mode,
   opts.mode = mode;
   DimmunixRuntime runtime(clock, opts);
 
-  LatencyMonitors latency;
+  PairLatency latency;
   const auto result = workload.Run(runtime, &latency);
   ModeResult out;
   out.seconds = result.seconds;
-  out.acquire_ns = latency.MeanNanos(LatencyOp::kAcquire);
-  out.release_ns = latency.MeanNanos(LatencyOp::kRelease);
+  out.acquire_ns = latency.acquire.MeanNanos();
+  out.release_ns = latency.release.MeanNanos();
   out.stats = result.stats;
   return out;
 }
@@ -129,7 +127,7 @@ ModeResult RunCleanHistory(const TableIIProfile& row, RuntimeMode mode,
 void RunModeComparison(bool smoke, communix::bench::BenchJson& json) {
   communix::bench::PrintHeader(
       "Clean-history instrumentation: fast path vs global lock "
-      "(per-op latency monitors)");
+      "(per-op latency histograms)");
   std::printf("%-12s %-11s %12s %12s %10s %12s %12s\n", "app", "mode",
               "acquire ns", "release ns", "seconds", "fast acq", "slow entry");
   for (const auto& row : communix::sim::TableIIProfiles()) {
@@ -221,12 +219,12 @@ void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
       for (const auto& sig : signatures) {
         runtime.AddSignature(sig, SignatureOrigin::kRemote);
       }
-      LatencyMonitors latency;
+      PairLatency latency;
       const auto result = workload.Run(runtime, &latency);
       const auto& s = result.stats;
       std::printf("%-12s %-9s %12.0f %10.3f %12llu %12llu %12llu %12llu\n",
                   row.app_name.c_str(), adaptive ? "on" : "off",
-                  latency.MeanNanos(LatencyOp::kAcquire), result.seconds,
+                  latency.acquire.MeanNanos(), result.seconds,
                   static_cast<unsigned long long>(s.scans_skipped),
                   static_cast<unsigned long long>(s.instantiation_scans),
                   static_cast<unsigned long long>(s.index_delta_rebuilds),
@@ -234,7 +232,7 @@ void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
       json.AddRow(
           "adaptive:" + row.app_name,
           {{"adaptive", adaptive ? 1.0 : 0.0},
-           {"acquire_ns", latency.MeanNanos(LatencyOp::kAcquire)},
+           {"acquire_ns", latency.acquire.MeanNanos()},
            {"seconds", result.seconds},
            {"scans_skipped", static_cast<double>(s.scans_skipped)},
            {"instantiation_scans",

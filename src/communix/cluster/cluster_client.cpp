@@ -31,7 +31,7 @@ ClusterClient::ClusterClient(Endpoint primary, std::vector<Endpoint> replicas,
 void ClusterClient::InvalidateCacheLocked() {
   if (!cache_enabled_) return;
   ++cache_generation_;
-  ++cache_invalidations_;
+  ++stats_.cache_invalidations;
 }
 
 Result<net::Response> ClusterClient::CallSlotLocked(
@@ -39,7 +39,7 @@ Result<net::Response> ClusterClient::CallSlotLocked(
   auto result = slot.endpoint.transport->Call(request);
   if (!result.ok()) {
     if (!slot.down) {
-      ++failovers_;  // count down-transitions, not retries
+      ++stats_.failovers;  // count down-transitions, not retries
       // A failover mid-fetch voids any splice in flight: the endpoint
       // that built a cached prefix may be gone, and the conservative
       // move is to rebuild from a full reply.
@@ -75,7 +75,7 @@ void ClusterClient::HealOneDownEndpointLocked() {
     // Probe the transport directly: a heal attempt against a
     // still-dead node is not a new failover event, and success both
     // clears the mark and refreshes the (possibly new) epoch.
-    ++heal_probes_;
+    ++stats_.heal_probes;
     auto result = slot.endpoint.transport->Call(
         net::BuildReplPullRequest(net::ReplPullRequest{0, 0, 0}));
     if (result.ok() && result.value().ok()) {
@@ -126,7 +126,7 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
     // cannot reach it fails rather than silently landing elsewhere
     // (followers would refuse it anyway).
     auto result = CallSlotLocked(slots_[0], request);
-    if (result.ok()) ++writes_to_primary_;
+    if (result.ok()) ++stats_.writes_to_primary;
     return result;
   }
 
@@ -167,7 +167,7 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
         slot.epoch = 0;
         ProbeEpochLocked(slot);
         if (slot.epoch == 0 || slot.epoch != slots_[0].epoch) {
-          ++epoch_skips_;
+          ++stats_.epoch_skips;
           continue;
         }
       }
@@ -189,7 +189,7 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
         // This endpoint lags behind what we've already shown the caller:
         // a fresh scan served from it would regress. Keep it as a last
         // resort and try the next endpoint.
-        ++stale_read_retries_;
+        ++stats_.stale_read_retries;
         if (!best || coverage > best_coverage) {
           best = result.value();
           best_coverage = coverage;
@@ -205,7 +205,7 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
         known_log_size_.store(coverage, std::memory_order_release);
       }
     }
-    (idx == 0 ? reads_to_primary_ : reads_to_replicas_) += 1;
+    ++(idx == 0 ? stats_.reads_to_primary : stats_.reads_to_replicas);
     MaybeHealLocked();
     return result;
   }
@@ -217,7 +217,7 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
     // The delta-fetch cache is dropped too: a short read means cluster
     // state is degraded enough that splicing onto cached prefixes is no
     // longer worth reasoning about.
-    ++short_reads_;
+    ++stats_.short_reads;
     InvalidateCacheLocked();
     return *best;
   }
@@ -315,7 +315,7 @@ Result<std::vector<std::vector<std::uint8_t>>> ClusterClient::FetchSince(
           sigs.push_back(r.ReadBytes());
         }
         std::lock_guard lock(mu_);
-        ++cache_hits_;
+        ++stats_.cache_hits;
         return sigs;
       }
       // Delta fetch: reuse the cached prefix, transfer only the suffix.
@@ -341,8 +341,8 @@ Result<std::vector<std::vector<std::uint8_t>>> ClusterClient::FetchSince(
                              delta_payload.end());
       {
         std::lock_guard lock(mu_);
-        ++cache_hits_;
-        ++cache_delta_fetches_;
+        ++stats_.cache_hits;
+        ++stats_.cache_delta_fetches;
       }
       // Insert under the generation the prefix was read at: if an
       // invalidation raced the delta fetch, ReadCache discards this
@@ -370,18 +370,8 @@ Result<std::vector<std::vector<std::uint8_t>>> ClusterClient::FetchSince(
 
 ClusterClient::Stats ClusterClient::GetStats() const {
   std::lock_guard lock(mu_);
-  Stats out;
-  out.writes_to_primary = writes_to_primary_;
-  out.reads_to_replicas = reads_to_replicas_;
-  out.reads_to_primary = reads_to_primary_;
-  out.failovers = failovers_;
-  out.stale_read_retries = stale_read_retries_;
-  out.short_reads = short_reads_;
-  out.epoch_skips = epoch_skips_;
-  out.cache_hits = cache_hits_;
-  out.cache_delta_fetches = cache_delta_fetches_;
-  out.cache_invalidations = cache_invalidations_;
-  out.heal_probes = heal_probes_;
+  Stats out = stats_;
+  for (const Slot& s : slots_) out.endpoints_up += s.down ? 0 : 1;
   return out;
 }
 
@@ -396,24 +386,7 @@ std::vector<bool> ClusterClient::EndpointUp() const {
 obs::ProbeHandle ClusterClient::ExportStats(
     obs::MetricsRegistry& registry) const {
   return registry.RegisterProbe([this](obs::ProbeSink& sink) {
-    const Stats s = GetStats();
-    sink.EmitCounter("cluster.client.writes_to_primary", s.writes_to_primary);
-    sink.EmitCounter("cluster.client.reads_to_replicas", s.reads_to_replicas);
-    sink.EmitCounter("cluster.client.reads_to_primary", s.reads_to_primary);
-    sink.EmitCounter("cluster.client.failovers", s.failovers);
-    sink.EmitCounter("cluster.client.stale_read_retries",
-                     s.stale_read_retries);
-    sink.EmitCounter("cluster.client.short_reads", s.short_reads);
-    sink.EmitCounter("cluster.client.epoch_skips", s.epoch_skips);
-    sink.EmitCounter("cluster.client.cache_hits", s.cache_hits);
-    sink.EmitCounter("cluster.client.cache_delta_fetches",
-                     s.cache_delta_fetches);
-    sink.EmitCounter("cluster.client.cache_invalidations",
-                     s.cache_invalidations);
-    sink.EmitCounter("cluster.client.heal_probes", s.heal_probes);
-    std::uint64_t up = 0;
-    for (const bool b : EndpointUp()) up += b ? 1 : 0;
-    sink.EmitGauge("cluster.client.endpoints_up", up);
+    obs::EmitStats(sink, "cluster.client.", GetStats());
   });
 }
 

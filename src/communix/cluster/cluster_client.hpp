@@ -109,12 +109,31 @@ class ClusterClient final : public net::ClientTransport {
     /// Revival probes actually sent to down endpoints (throttled by
     /// Options::heal_probe_period).
     std::uint64_t heal_probes = 0;
+    /// Gauge: endpoints not currently marked down.
+    std::uint64_t endpoints_up = 0;
+
+    template <typename Fn, typename... S>
+    static void ForEach(Fn&& fn, S&&... s) {
+      using enum obs::MetricKind;
+      fn(kCounter, "writes_to_primary", s.writes_to_primary...);
+      fn(kCounter, "reads_to_replicas", s.reads_to_replicas...);
+      fn(kCounter, "reads_to_primary", s.reads_to_primary...);
+      fn(kCounter, "failovers", s.failovers...);
+      fn(kCounter, "stale_read_retries", s.stale_read_retries...);
+      fn(kCounter, "short_reads", s.short_reads...);
+      fn(kCounter, "epoch_skips", s.epoch_skips...);
+      fn(kCounter, "cache_hits", s.cache_hits...);
+      fn(kCounter, "cache_delta_fetches", s.cache_delta_fetches...);
+      fn(kCounter, "cache_invalidations", s.cache_invalidations...);
+      fn(kCounter, "heal_probes", s.heal_probes...);
+      fn(kGauge, "endpoints_up", s.endpoints_up...);
+    }
   };
   Stats GetStats() const;
 
   /// Registers a snapshot-time probe emitting every GetStats() field as
-  /// a cluster.client.* counter (plus an endpoints-up gauge). Release
-  /// the handle before destroying the client.
+  /// cluster.client.<name>. Release the handle before destroying the
+  /// client.
   [[nodiscard]] obs::ProbeHandle ExportStats(
       obs::MetricsRegistry& registry) const;
 
@@ -173,17 +192,9 @@ class ClusterClient final : public net::ClientTransport {
   std::size_t rr_ = 0;       // round-robin origin over replicas
   std::size_t heal_rr_ = 0;  // round-robin origin over down endpoints
   std::size_t reads_since_heal_ = 0;  // backoff counter (guarded by mu_)
-  std::uint64_t heal_probes_ = 0;     // guarded by mu_
+  Stats stats_;  // guarded by mu_; GetStats fills in endpoints_up
 
   std::atomic<std::uint64_t> known_log_size_{0};
-
-  std::uint64_t writes_to_primary_ = 0;   // guarded by mu_
-  std::uint64_t reads_to_replicas_ = 0;
-  std::uint64_t reads_to_primary_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t stale_read_retries_ = 0;
-  std::uint64_t short_reads_ = 0;
-  std::uint64_t epoch_skips_ = 0;
 
   // ---- FetchSince delta-fetch cache ----
   const bool cache_enabled_;
@@ -192,9 +203,6 @@ class ClusterClient final : public net::ClientTransport {
   /// Primary lineage the current generation's slices were built under
   /// (0 = not yet observed).
   std::uint64_t cache_epoch_ = 0;         // guarded by mu_
-  std::uint64_t cache_hits_ = 0;          // guarded by mu_
-  std::uint64_t cache_delta_fetches_ = 0;
-  std::uint64_t cache_invalidations_ = 0;
 };
 
 }  // namespace communix::cluster

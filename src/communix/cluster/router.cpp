@@ -44,12 +44,7 @@ MultiGroupClient::MultiGroupClient(std::vector<Group> groups, Options options)
       metrics_(options.metrics ? options.metrics
                                : std::make_shared<obs::MetricsRegistry>()) {
   stats_probe_ = metrics_->RegisterProbe([this](obs::ProbeSink& sink) {
-    const Stats s = GetStats();
-    sink.EmitCounter("router.wrong_group_bounces", s.wrong_group_bounces);
-    sink.EmitCounter("router.map_refreshes", s.map_refreshes);
-    sink.EmitCounter("router.map_installs", s.map_installs);
-    sink.EmitCounter("router.routed_without_map", s.routed_without_map);
-    sink.EmitGauge("router.map_version", router_.version());
+    obs::EmitStats(sink, "router.", GetStats());
   });
 }
 
@@ -208,7 +203,9 @@ const MultiGroupClient::TenantLatency& MultiGroupClient::TenantLatencyFor(
 
 MultiGroupClient::Stats MultiGroupClient::GetStats() const {
   std::lock_guard lock(mu_);
-  return stats_;
+  Stats out = stats_;
+  out.map_version = router_.version();  // the router's own leaf lock
+  return out;
 }
 
 }  // namespace communix::cluster

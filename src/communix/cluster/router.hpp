@@ -25,10 +25,10 @@
 //     one community, so single-tenant components (CommunixClient,
 //     CommunixPlugin) run over the sharded tier unchanged.
 //
-// Per-tenant ADD/GET latency histograms (power-of-two buckets,
-// util/latency_monitor.hpp) hang off this layer because it is the one
-// place that knows the tenant of every request — the DoS-containment
-// check reads a victim's p99 here while a neighbor floods.
+// Per-tenant ADD/GET latency histograms (obs::Histogram, power-of-two
+// buckets) hang off this layer because it is the one place that knows
+// the tenant of every request — the DoS-containment check reads a
+// victim's p99 here while a neighbor floods.
 #pragma once
 
 #include <cstdint>
@@ -122,6 +122,17 @@ class MultiGroupClient {
     std::uint64_t map_refreshes = 0;        // kShardMap fetches issued
     std::uint64_t map_installs = 0;         // refreshes that adopted a map
     std::uint64_t routed_without_map = 0;   // calls sent before any map
+    std::uint64_t map_version = 0;          // gauge: installed map version
+
+    template <typename Fn, typename... S>
+    static void ForEach(Fn&& fn, S&&... s) {
+      using enum obs::MetricKind;
+      fn(kCounter, "wrong_group_bounces", s.wrong_group_bounces...);
+      fn(kCounter, "map_refreshes", s.map_refreshes...);
+      fn(kCounter, "map_installs", s.map_installs...);
+      fn(kCounter, "routed_without_map", s.routed_without_map...);
+      fn(kGauge, "map_version", s.map_version...);
+    }
   };
   Stats GetStats() const;
 
@@ -171,7 +182,7 @@ class MultiGroupClient {
   ShardRouter router_;
 
   mutable std::mutex mu_;  // stats + lazily-built per-community state
-  Stats stats_;
+  Stats stats_;  // GetStats fills in map_version
   std::unordered_map<CommunityId, std::unique_ptr<CommunityTransport>>
       transports_;
   std::unordered_map<CommunityId, TenantLatency> latency_;

@@ -26,7 +26,7 @@ bool CommunixPlugin::SyncHistory() {
   // both the runtime lock and the deep copy.
   auto snapshot = runtime_.SnapshotHistoryIfChanged(&last_synced_version_);
   if (!snapshot) {
-    history_syncs_skipped_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&Stats::history_syncs_skipped);
     return false;
   }
   const Status s = snapshot->SaveToFile(options_.history_path);
@@ -36,7 +36,7 @@ bool CommunixPlugin::SyncHistory() {
     CX_LOG(kInfo, "plugin") << "history sync failed: " << s.ToString();
     return false;
   }
-  history_syncs_.fetch_add(1, std::memory_order_relaxed);
+  Bump(&Stats::history_syncs);
   return true;
 }
 
@@ -59,13 +59,12 @@ std::size_t CommunixPlugin::SyncSuperseded() {
     // server-side mark is idempotent, so retrying a possibly-delivered
     // frame is safe.
     superseded_backlog_ = std::move(ids);
-    failures_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&Stats::transport_failures);
     return 0;
   }
-  superseded_synced_.fetch_add(mark.content_ids.size(),
-                               std::memory_order_relaxed);
+  Bump(&Stats::superseded_synced, mark.content_ids.size());
   if (const auto marked = net::ParseMarkSupersededReply(result.value())) {
-    superseded_marked_.fetch_add(*marked, std::memory_order_relaxed);
+    Bump(&Stats::superseded_marked, *marked);
   }
   return mark.content_ids.size();
 }
@@ -96,7 +95,7 @@ Signature CommunixPlugin::AttachHashes(const Signature& sig) const {
 }
 
 Status CommunixPlugin::UploadSignature(const Signature& sig) {
-  attempted_.fetch_add(1, std::memory_order_relaxed);
+  Bump(&Stats::uploads_attempted);
 
   const Signature hashed = AttachHashes(sig);
   BinaryWriter w;
@@ -109,30 +108,26 @@ Status CommunixPlugin::UploadSignature(const Signature& sig) {
 
   auto result = transport_.Call(request);
   if (!result.ok()) {
-    failures_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&Stats::transport_failures);
     return result.status();
   }
   const net::Response& resp = result.value();
   if (resp.ok()) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&Stats::uploads_accepted);
     return Status::Ok();
   }
-  rejected_.fetch_add(1, std::memory_order_relaxed);
+  Bump(&Stats::uploads_rejected);
   return Status::Error(resp.code, resp.error);
 }
 
 CommunixPlugin::Stats CommunixPlugin::GetStats() const {
-  Stats s;
-  s.uploads_attempted = attempted_.load(std::memory_order_relaxed);
-  s.uploads_accepted = accepted_.load(std::memory_order_relaxed);
-  s.uploads_rejected = rejected_.load(std::memory_order_relaxed);
-  s.transport_failures = failures_.load(std::memory_order_relaxed);
-  s.history_syncs = history_syncs_.load(std::memory_order_relaxed);
-  s.history_syncs_skipped =
-      history_syncs_skipped_.load(std::memory_order_relaxed);
-  s.superseded_synced = superseded_synced_.load(std::memory_order_relaxed);
-  s.superseded_marked = superseded_marked_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard lock(stats_mu_);
+  return stats_;
+}
+
+void CommunixPlugin::Bump(std::uint64_t Stats::*counter, std::uint64_t n) {
+  std::lock_guard lock(stats_mu_);
+  stats_.*counter += n;
 }
 
 }  // namespace communix

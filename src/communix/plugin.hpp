@@ -10,7 +10,7 @@
 // copy — whenever nothing changed.
 #pragma once
 
-#include <atomic>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -78,14 +78,10 @@ class CommunixPlugin {
   const UserToken token_;
   const Options options_;
 
-  std::atomic<std::uint64_t> attempted_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> failures_{0};
-  std::atomic<std::uint64_t> history_syncs_{0};
-  std::atomic<std::uint64_t> history_syncs_skipped_{0};
-  std::atomic<std::uint64_t> superseded_synced_{0};
-  std::atomic<std::uint64_t> superseded_marked_{0};
+  void Bump(std::uint64_t Stats::*counter, std::uint64_t n = 1);
+
+  mutable std::mutex stats_mu_;
+  Stats stats_;  // guarded by stats_mu_
   /// Retired ids a failed SyncSuperseded left behind (retried first on
   /// the next tick, ahead of newly drained ids).
   std::vector<std::uint64_t> superseded_backlog_;

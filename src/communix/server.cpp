@@ -20,6 +20,22 @@ std::uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+/// The store tier's state gauges (store.<name>), exported beside its
+/// read-cache counters.
+struct StoreGauges {
+  std::uint64_t db_size = 0;
+  std::uint64_t epoch = 0;
+  std::uint64_t superseded = 0;
+
+  template <typename Fn, typename... S>
+  static void ForEach(Fn&& fn, S&&... s) {
+    using enum obs::MetricKind;
+    fn(kGauge, "db_size", s.db_size...);
+    fn(kGauge, "epoch", s.epoch...);
+    fn(kGauge, "superseded", s.superseded...);
+  }
+};
+
 }  // namespace
 
 CommunixServer::CommunixServer(Clock& clock, Options options)
@@ -30,40 +46,7 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
       metrics_(options.metrics ? options.metrics
                                : std::make_shared<obs::MetricsRegistry>()) {
   obs::MetricsRegistry& reg = *metrics_;
-  // ADD outcome counters FIRST, adds_processed after them: snapshot read
-  // order is registration order, which is what keeps
-  // sum(outcomes) <= processed true in every snapshot (obs/metrics.hpp).
-  stats_.adds_accepted = reg.GetCounter("server.adds_accepted");
-  stats_.adds_duplicate = reg.GetCounter("server.adds_duplicate");
-  stats_.rejected_bad_token = reg.GetCounter("server.rejected_bad_token");
-  stats_.rejected_rate_limited =
-      reg.GetCounter("server.rejected_rate_limited");
-  stats_.rejected_adjacent = reg.GetCounter("server.rejected_adjacent");
-  stats_.rejected_malformed = reg.GetCounter("server.rejected_malformed");
-  stats_.rejected_tenant_quota =
-      reg.GetCounter("server.rejected_tenant_quota");
-  stats_.adds_processed = reg.GetCounter("server.adds_processed");
-  stats_.gets_served = reg.GetCounter("server.gets_served");
-  stats_.reply_bytes_copied = reg.GetCounter("server.reply_bytes_copied");
-  stats_.reply_bytes_shared = reg.GetCounter("server.reply_bytes_shared");
-  stats_.rejected_not_primary = reg.GetCounter("server.rejected_not_primary");
-  stats_.repl_pulls_served = reg.GetCounter("server.repl_pulls_served");
-  stats_.repl_batches_applied =
-      reg.GetCounter("server.repl_batches_applied");
-  stats_.repl_entries_applied =
-      reg.GetCounter("server.repl_entries_applied");
-  stats_.repl_entries_skipped =
-      reg.GetCounter("server.repl_entries_skipped");
-  stats_.repl_resets = reg.GetCounter("server.repl_resets");
-  stats_.checkpoints_installed =
-      reg.GetCounter("server.checkpoints_installed");
-  stats_.checkpoint_entries_installed =
-      reg.GetCounter("server.checkpoint_entries_installed");
-  stats_.checkpoints_refused = reg.GetCounter("server.checkpoints_refused");
-  stats_.wrong_group_bounces = reg.GetCounter("server.wrong_group_bounces");
-  stats_.shard_maps_served = reg.GetCounter("server.shard_maps_served");
-  stats_.superseded_from_fp = reg.GetCounter("server.superseded_from_fp");
-  stats_.stats_served = reg.GetCounter("server.stats_served");
+  obs::RegisterStats(reg, "server.", stats_);
   get_latency_[kGetCacheHit] = reg.GetHistogram("server.get.cache_hit_ns");
   get_latency_[kGetCacheExtend] =
       reg.GetHistogram("server.get.cache_extend_ns");
@@ -76,16 +59,10 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   trace_opts.slow_threshold_ns = options_.store.slow_request_ns;
   trace_ring_ = std::make_shared<obs::TraceRing>(trace_opts);
   store_probe_ = reg.RegisterProbe([this](obs::ProbeSink& sink) {
-    const store::ReadCache::Stats cache = store_->read_cache_stats();
-    sink.EmitCounter("store.cache.hits", cache.hits);
-    sink.EmitCounter("store.cache.misses", cache.misses);
-    sink.EmitCounter("store.cache.admissions", cache.admissions);
-    sink.EmitCounter("store.cache.promotions", cache.promotions);
-    sink.EmitCounter("store.cache.evictions", cache.evictions);
-    sink.EmitCounter("store.cache.invalidations", cache.invalidations);
-    sink.EmitGauge("store.db_size", store_->size());
-    sink.EmitGauge("store.epoch", store_->epoch());
-    sink.EmitGauge("store.superseded", store_->superseded_count());
+    obs::EmitStats(sink, "store.cache.", store_->read_cache_stats());
+    obs::EmitStats(sink, "store.",
+                   StoreGauges{store_->size(), store_->epoch(),
+                               store_->superseded_count()});
   });
 }
 
@@ -180,22 +157,7 @@ void CommunixServer::BumpTenant(CommunityId community, TenantOutcome outcome) {
 
 Status CommunixServer::AddSignature(const UserToken& token,
                                     const Signature& sig) {
-  if (options_.role == ServerRole::kFollower) {
-    stats_.rejected_not_primary->Add(1);
-    return Status::Error(ErrorCode::kFailedPrecondition,
-                         "follower replica: ADD goes to the primary");
-  }
-  const auto user = authority_.Decode(token);
-  if (!user) {
-    stats_.rejected_bad_token->Add(1);
-    return Status::Error(ErrorCode::kPermissionDenied, "invalid sender id");
-  }
-  if (WrongGroupFor(CommunityOf(*user), nullptr) != 0) {
-    stats_.wrong_group_bounces->Add(1);
-    return Status::Error(ErrorCode::kWrongGroup,
-                         "community is owned by another primary group");
-  }
-  return AddDecoded(*user, sig);
+  return AddBatch(token, std::span<const Signature>(&sig, 1)).front();
 }
 
 std::vector<Status> CommunixServer::AddBatch(
@@ -869,34 +831,8 @@ store::ReadCache::Stats CommunixServer::read_cache_stats() const {
 
 CommunixServer::Stats CommunixServer::GetStats() const {
   Stats out;
-  // Read order mirrors the registry's tearing contract: outcome counters
-  // first, the adds_processed total last, so sum(outcomes) <= total holds
-  // in this struct too.
-  out.adds_accepted = stats_.adds_accepted->Value();
-  out.adds_duplicate = stats_.adds_duplicate->Value();
-  out.rejected_bad_token = stats_.rejected_bad_token->Value();
-  out.rejected_rate_limited = stats_.rejected_rate_limited->Value();
-  out.rejected_adjacent = stats_.rejected_adjacent->Value();
-  out.rejected_malformed = stats_.rejected_malformed->Value();
-  out.gets_served = stats_.gets_served->Value();
-  out.reply_bytes_copied = stats_.reply_bytes_copied->Value();
-  out.reply_bytes_shared = stats_.reply_bytes_shared->Value();
-  out.rejected_not_primary = stats_.rejected_not_primary->Value();
-  out.repl_pulls_served = stats_.repl_pulls_served->Value();
-  out.repl_batches_applied = stats_.repl_batches_applied->Value();
-  out.repl_entries_applied = stats_.repl_entries_applied->Value();
-  out.repl_entries_skipped = stats_.repl_entries_skipped->Value();
-  out.repl_resets = stats_.repl_resets->Value();
-  out.checkpoints_installed = stats_.checkpoints_installed->Value();
-  out.checkpoint_entries_installed =
-      stats_.checkpoint_entries_installed->Value();
-  out.checkpoints_refused = stats_.checkpoints_refused->Value();
-  out.rejected_tenant_quota = stats_.rejected_tenant_quota->Value();
-  out.wrong_group_bounces = stats_.wrong_group_bounces->Value();
-  out.shard_maps_served = stats_.shard_maps_served->Value();
-  out.superseded_from_fp = stats_.superseded_from_fp->Value();
-  out.stats_served = stats_.stats_served->Value();
-  out.adds_processed = stats_.adds_processed->Value();
+  // List order reads the outcome counters before adds_processed.
+  obs::ReadStats(stats_, out);
   for (const TenantStatsStripe& stripe : tenant_stats_) {
     std::lock_guard lock(stripe.mu);
     for (const auto& [community, counters] : stripe.counters) {

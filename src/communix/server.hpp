@@ -58,6 +58,81 @@ namespace communix {
 /// probes), so replicas can be chained.
 enum class ServerRole { kPrimary, kFollower };
 
+/// The server tier's counters (server.<name>), declared once:
+/// CommunixServer::Stats is the plain instantiation, the server's live
+/// registry handles the obs::Counter* one. List order is registration
+/// and read order, and the ADD outcome counters come BEFORE
+/// adds_processed: with the writer bumping adds_processed first, that
+/// keeps sum(outcomes) <= adds_processed in every snapshot and every
+/// GetStats() (obs/metrics.hpp).
+template <typename T>
+struct ServerStatFields {
+  T adds_accepted{};
+  T adds_duplicate{};
+  T rejected_bad_token{};
+  T rejected_rate_limited{};
+  T rejected_adjacent{};
+  T rejected_malformed{};
+  T rejected_tenant_quota{};  // community budget exhausted
+  /// ADD requests that reached the post-authentication pipeline (bumped
+  /// BEFORE the outcome is known). accepted + duplicate + rate_limited +
+  /// tenant_quota + adjacent <= adds_processed, even mid-traffic.
+  T adds_processed{};
+  T gets_served{};
+  /// Reply payload bytes emitted as owned (memcpy'd) bytes vs. as
+  /// zero-copy shared segments, across every Handle() reply. A
+  /// cache-hit GET copies only its ~4-byte count prefix and shares the
+  /// O(db) slice, so under a repeat-poll workload shared ≫ copied —
+  /// the structural proof that the wire tier preserves the 2Q cache's
+  /// sharing instead of re-copying per connection.
+  T reply_bytes_copied{};
+  T reply_bytes_shared{};
+  /// ADD/ADD_BATCH frames refused because this server is a follower.
+  T rejected_not_primary{};
+  T repl_pulls_served{};             // kReplPull requests answered
+  T repl_batches_applied{};          // kReplBatch frames ingested
+  T repl_entries_applied{};          // entries committed via ingest
+  T repl_entries_skipped{};          // already-applied (idempotent)
+  T repl_resets{};                   // catch-up epoch adoptions
+  T checkpoints_installed{};         // kCheckpoint ingests
+  T checkpoint_entries_installed{};  // entries they carried
+  T checkpoints_refused{};           // invalid/unauthorized blobs
+  T wrong_group_bounces{};           // ADDs bounced (stale routing)
+  T shard_maps_served{};             // kShardMap requests answered
+  T superseded_from_fp{};  // entries retired via kMarkSuperseded batches
+  T stats_served{};        // kStats requests answered
+
+  template <typename Fn, typename... S>
+  static void ForEach(Fn&& fn, S&&... s) {
+    using enum obs::MetricKind;
+    fn(kCounter, "adds_accepted", s.adds_accepted...);
+    fn(kCounter, "adds_duplicate", s.adds_duplicate...);
+    fn(kCounter, "rejected_bad_token", s.rejected_bad_token...);
+    fn(kCounter, "rejected_rate_limited", s.rejected_rate_limited...);
+    fn(kCounter, "rejected_adjacent", s.rejected_adjacent...);
+    fn(kCounter, "rejected_malformed", s.rejected_malformed...);
+    fn(kCounter, "rejected_tenant_quota", s.rejected_tenant_quota...);
+    fn(kCounter, "adds_processed", s.adds_processed...);
+    fn(kCounter, "gets_served", s.gets_served...);
+    fn(kCounter, "reply_bytes_copied", s.reply_bytes_copied...);
+    fn(kCounter, "reply_bytes_shared", s.reply_bytes_shared...);
+    fn(kCounter, "rejected_not_primary", s.rejected_not_primary...);
+    fn(kCounter, "repl_pulls_served", s.repl_pulls_served...);
+    fn(kCounter, "repl_batches_applied", s.repl_batches_applied...);
+    fn(kCounter, "repl_entries_applied", s.repl_entries_applied...);
+    fn(kCounter, "repl_entries_skipped", s.repl_entries_skipped...);
+    fn(kCounter, "repl_resets", s.repl_resets...);
+    fn(kCounter, "checkpoints_installed", s.checkpoints_installed...);
+    fn(kCounter, "checkpoint_entries_installed",
+       s.checkpoint_entries_installed...);
+    fn(kCounter, "checkpoints_refused", s.checkpoints_refused...);
+    fn(kCounter, "wrong_group_bounces", s.wrong_group_bounces...);
+    fn(kCounter, "shard_maps_served", s.shard_maps_served...);
+    fn(kCounter, "superseded_from_fp", s.superseded_from_fp...);
+    fn(kCounter, "stats_served", s.stats_served...);
+  }
+};
+
 class CommunixServer final : public net::RequestHandler {
  public:
   struct Options {
@@ -213,45 +288,7 @@ class CommunixServer final : public net::RequestHandler {
   // ---- wire protocol ----
   net::Response Handle(const net::Request& request) override;
 
-  struct Stats {
-    /// ADD requests that reached the post-authentication pipeline
-    /// (bumped BEFORE the outcome is known). In every snapshot,
-    /// accepted + duplicate + rate_limited + tenant_quota + adjacent
-    /// <= adds_processed — the registry's ordering contract
-    /// (obs/metrics.hpp) makes that hold even mid-traffic.
-    std::uint64_t adds_processed = 0;
-    std::uint64_t adds_accepted = 0;
-    std::uint64_t adds_duplicate = 0;
-    std::uint64_t rejected_bad_token = 0;
-    std::uint64_t rejected_rate_limited = 0;
-    std::uint64_t rejected_adjacent = 0;
-    std::uint64_t rejected_malformed = 0;
-    std::uint64_t gets_served = 0;
-    /// Reply payload bytes emitted as owned (memcpy'd) bytes vs. as
-    /// zero-copy shared segments, across every Handle() reply. A
-    /// cache-hit GET copies only its ~4-byte count prefix and shares the
-    /// O(db) slice, so under a repeat-poll workload shared ≫ copied —
-    /// the structural proof that the wire tier preserves the 2Q cache's
-    /// sharing instead of re-copying per connection.
-    std::uint64_t reply_bytes_copied = 0;
-    std::uint64_t reply_bytes_shared = 0;
-    /// ADD/ADD_BATCH frames refused because this server is a follower.
-    std::uint64_t rejected_not_primary = 0;
-    std::uint64_t repl_pulls_served = 0;    // kReplPull requests answered
-    std::uint64_t repl_batches_applied = 0; // kReplBatch frames ingested
-    std::uint64_t repl_entries_applied = 0; // entries committed via ingest
-    std::uint64_t repl_entries_skipped = 0; // already-applied (idempotent)
-    std::uint64_t repl_resets = 0;          // catch-up epoch adoptions
-    std::uint64_t checkpoints_installed = 0;      // kCheckpoint ingests
-    std::uint64_t checkpoint_entries_installed = 0;  // entries they carried
-    std::uint64_t checkpoints_refused = 0;  // invalid/unauthorized blobs
-    // ---- multi-tenant tier ----
-    std::uint64_t rejected_tenant_quota = 0;  // community budget exhausted
-    std::uint64_t wrong_group_bounces = 0;    // ADDs bounced (stale routing)
-    std::uint64_t shard_maps_served = 0;      // kShardMap requests answered
-    std::uint64_t superseded_from_fp = 0;     // entries retired via
-                                              // kMarkSuperseded batches
-    std::uint64_t stats_served = 0;           // kStats requests answered
+  struct Stats : ServerStatFields<std::uint64_t> {
     /// Per-community ADD accounting (sorted by community id). Populated
     /// lazily — only communities that sent at least one ADD appear.
     struct TenantCounters {
@@ -302,39 +339,11 @@ class CommunixServer final : public net::RequestHandler {
   const IdAuthority authority_;
   const std::unique_ptr<store::SignatureStore> store_;
 
-  /// Registry-backed counters, resolved once at construction: every
-  /// request path — including the rejection paths — bumps its counter
-  /// via the registry's sharded lock-free hot path. The ADD outcome
-  /// counters are registered BEFORE adds_processed so that snapshots
-  /// preserve sum(outcomes) <= processed (see obs/metrics.hpp).
-  struct Counters {
-    obs::Counter* adds_accepted = nullptr;
-    obs::Counter* adds_duplicate = nullptr;
-    obs::Counter* rejected_bad_token = nullptr;
-    obs::Counter* rejected_rate_limited = nullptr;
-    obs::Counter* rejected_adjacent = nullptr;
-    obs::Counter* rejected_malformed = nullptr;
-    obs::Counter* rejected_tenant_quota = nullptr;
-    obs::Counter* adds_processed = nullptr;
-    obs::Counter* gets_served = nullptr;
-    obs::Counter* reply_bytes_copied = nullptr;
-    obs::Counter* reply_bytes_shared = nullptr;
-    obs::Counter* rejected_not_primary = nullptr;
-    obs::Counter* repl_pulls_served = nullptr;
-    obs::Counter* repl_batches_applied = nullptr;
-    obs::Counter* repl_entries_applied = nullptr;
-    obs::Counter* repl_entries_skipped = nullptr;
-    obs::Counter* repl_resets = nullptr;
-    obs::Counter* checkpoints_installed = nullptr;
-    obs::Counter* checkpoint_entries_installed = nullptr;
-    obs::Counter* checkpoints_refused = nullptr;
-    obs::Counter* wrong_group_bounces = nullptr;
-    obs::Counter* shard_maps_served = nullptr;
-    obs::Counter* superseded_from_fp = nullptr;
-    obs::Counter* stats_served = nullptr;
-  };
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  Counters stats_;
+  /// Registry-backed counters, resolved once at construction: every
+  /// request path, including the rejection paths, bumps its counter via
+  /// the registry's sharded lock-free hot path.
+  ServerStatFields<obs::Counter*> stats_;
   std::array<obs::Histogram*, kNumGetLatencyBuckets> get_latency_{};
   std::shared_ptr<obs::TraceRing> trace_ring_;
   /// Snapshot-time export of the store/cache tier (2Q counters, db

@@ -43,6 +43,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace communix::store {
 
 /// One materialized GET reply slice: the length-prefixed serialized
@@ -91,6 +93,17 @@ class ReadCache {
     std::uint64_t promotions = 0;   // ghost-hit keys admitted into Am
     std::uint64_t evictions = 0;    // resident slices dropped (A1in + Am)
     std::uint64_t invalidations = 0;  // whole-table generation clears
+
+    template <typename Fn, typename... S>
+    static void ForEach(Fn&& fn, S&&... s) {
+      using enum obs::MetricKind;
+      fn(kCounter, "hits", s.hits...);
+      fn(kCounter, "misses", s.misses...);
+      fn(kCounter, "admissions", s.admissions...);
+      fn(kCounter, "promotions", s.promotions...);
+      fn(kCounter, "evictions", s.evictions...);
+      fn(kCounter, "invalidations", s.invalidations...);
+    }
   };
   Stats GetStats() const;
 

@@ -100,7 +100,7 @@ void DimmunixRuntime::ReapDetachedLocked() {
         t->top_.load(std::memory_order_acquire) == nullptr) {
       // Fold the tombstone's counter shard into the runtime's before the
       // memory goes away, so GetStats totals stay exact across churn.
-      global_counters_.Absorb(t->counters_);
+      AddShard(global_counters_, t->counters_);
       ++reaped;
       return true;
     }
@@ -122,8 +122,7 @@ void DimmunixRuntime::RepublishIndexLocked() {
     if (want > occupancy_.bucket_count()) occupancy_.Resize(want);
   }
   const std::uint64_t version = history_version_.fetch_add(1) + 1;
-  const bool full = !options_.delta_index_rebuilds ||
-                    options_.full_rebuild_period == 0 ||
+  const bool full = options_.full_rebuild_period == 0 ||
                     ++republishes_since_full_ >= options_.full_rebuild_period;
   std::shared_ptr<const AvoidanceIndex> next;
   if (full) {
@@ -901,12 +900,12 @@ void DimmunixRuntime::SetFalsePositiveCallback(SignatureCallback cb) {
 DimmunixRuntime::Stats DimmunixRuntime::GetStats() const {
   std::lock_guard lock(mu_);
   Stats s;
-  global_counters_.AccumulateInto(s);
+  AddShard(s, global_counters_);
   // Per-thread shards: live threads keep counting concurrently (relaxed
   // reads give a consistent-enough snapshot, as before the sharding);
   // tombstones are quiescent and still counted until the reap folds them
   // into the runtime shard.
-  for (const auto& t : threads_) t->counters_.AccumulateInto(s);
+  for (const auto& t : threads_) AddShard(s, t->counters_);
   // Gauges: current table geometry + the published index's collision
   // count (not counter shards — they describe state, not events).
   s.occupancy_buckets = occupancy_.bucket_count();
@@ -921,39 +920,10 @@ std::size_t DimmunixRuntime::ThreadRecordCount() const {
 
 obs::ProbeHandle DimmunixRuntime::ExportStats(obs::MetricsRegistry& registry,
                                               std::string prefix) const {
-  return registry.RegisterProbe([this, prefix = std::move(prefix)](
-                                    obs::ProbeSink& sink) {
-    const Stats s = GetStats();
-    const auto c = [&](const char* name, std::uint64_t v) {
-      sink.EmitCounter(prefix + "." + name, v);
-    };
-    c("acquisitions", s.acquisitions);
-    c("contended_acquisitions", s.contended_acquisitions);
-    c("avoidance_suspensions", s.avoidance_suspensions);
-    c("yield_cycle_overrides", s.yield_cycle_overrides);
-    c("deadlocks_detected", s.deadlocks_detected);
-    c("signatures_learned", s.signatures_learned);
-    c("local_generalizations", s.local_generalizations);
-    c("false_positives_flagged", s.false_positives_flagged);
-    c("fast_path_acquisitions", s.fast_path_acquisitions);
-    c("fast_path_releases", s.fast_path_releases);
-    c("slow_path_entries", s.slow_path_entries);
-    c("wait_rounds", s.wait_rounds);
-    c("handoffs", s.handoffs);
-    c("barges_prevented", s.barges_prevented);
-    c("instantiation_scans", s.instantiation_scans);
-    c("scans_skipped", s.scans_skipped);
-    c("sampled_verification_scans", s.sampled_verification_scans);
-    c("adaptive_gate_mismatches", s.adaptive_gate_mismatches);
-    c("index_republishes", s.index_republishes);
-    c("index_delta_rebuilds", s.index_delta_rebuilds);
-    c("index_full_rebuilds", s.index_full_rebuilds);
-    c("index_entries_reused", s.index_entries_reused);
-    c("threads_reaped", s.threads_reaped);
-    sink.EmitGauge(prefix + ".occupancy_buckets", s.occupancy_buckets);
-    sink.EmitGauge(prefix + ".occupancy_key_collisions",
-                   s.occupancy_key_collisions);
-  });
+  return registry.RegisterProbe(
+      [this, prefix = std::move(prefix) + "."](obs::ProbeSink& sink) {
+        obs::EmitStats(sink, prefix, GetStats());
+      });
 }
 
 }  // namespace communix::dimmunix

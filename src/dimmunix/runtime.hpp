@@ -155,11 +155,9 @@ class DimmunixRuntime {
     /// their bucket index, so resizing under them would corrupt the
     /// zero-read proof.
     std::size_t occupancy_buckets = 0;
-    /// Republish the avoidance index by delta rebuild (reusing the
-    /// previous snapshot's entries) instead of a full copy.
-    bool delta_index_rebuilds = true;
-    /// Interleave a from-scratch full rebuild every Nth republish as a
-    /// safety net for long delta chains (0 = always full).
+    /// Republishes are delta rebuilds (reusing the previous snapshot's
+    /// entries), with a from-scratch full rebuild every Nth as a safety
+    /// net for long delta chains (0 = always full).
     std::uint32_t full_rebuild_period = 64;
     FpDetector::Options fp;
   };
@@ -224,8 +222,7 @@ class DimmunixRuntime {
 
   // ---- introspection --------------------------------------------------
   /// Aggregated snapshot of the per-thread + runtime counter shards (see
-  /// stats.hpp). Kept as a nested alias so call sites read
-  /// DimmunixRuntime::Stats as before the sharding.
+  /// stats.hpp).
   using Stats = RuntimeStats;
   Stats GetStats() const;
   /// Registers a snapshot-time probe on `registry` that emits every

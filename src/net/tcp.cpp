@@ -144,14 +144,7 @@ TcpServer::TcpServer(RequestHandler& handler, const Options& options)
       port_(options.port),
       metrics_(options.metrics ? options.metrics
                                : std::make_shared<obs::MetricsRegistry>()) {
-  stats_.writev_flushes = metrics_->GetCounter("net.writev_flushes");
-  stats_.backpressure_stalls = metrics_->GetCounter("net.backpressure_stalls");
-  stats_.slow_client_disconnects =
-      metrics_->GetCounter("net.slow_client_disconnects");
-  stats_.peak_outbound_queue_bytes =
-      metrics_->GetGauge("net.peak_outbound_queue_bytes");
-  stats_.wake_pipe_full_wakes =
-      metrics_->GetCounter("net.wake_pipe_full_wakes");
+  obs::RegisterStats(*metrics_, "net.", stats_);
 }
 
 TcpServer::~TcpServer() { Stop(); }
@@ -162,11 +155,7 @@ std::size_t TcpServer::worker_threads() const {
 
 TcpServer::Stats TcpServer::GetStats() const {
   Stats s;
-  s.writev_flushes = stats_.writev_flushes->Value();
-  s.backpressure_stalls = stats_.backpressure_stalls->Value();
-  s.slow_client_disconnects = stats_.slow_client_disconnects->Value();
-  s.peak_outbound_queue_bytes = stats_.peak_outbound_queue_bytes->Value();
-  s.wake_pipe_full_wakes = stats_.wake_pipe_full_wakes->Value();
+  obs::ReadStats(stats_, s);
   return s;
 }
 

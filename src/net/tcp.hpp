@@ -41,6 +41,30 @@
 
 namespace communix::net {
 
+/// The transport's structural counters for the non-blocking reply path
+/// (net.<name>), declared once: TcpServer::Stats is the plain
+/// instantiation, the live registry handles the
+/// <obs::Counter*, obs::Gauge*> one. Monotonic since Start, except the
+/// peak_outbound_queue_bytes high-water mark.
+template <typename C, typename G = C>
+struct TcpStatFields {
+  C writev_flushes{};        ///< gather sendmsg syscalls
+  C backpressure_stalls{};   ///< queue crossed the cap
+  C slow_client_disconnects{};
+  G peak_outbound_queue_bytes{};
+  C wake_pipe_full_wakes{};  ///< Wake() hit a full pipe
+
+  template <typename Fn, typename... S>
+  static void ForEach(Fn&& fn, S&&... s) {
+    using enum obs::MetricKind;
+    fn(kCounter, "writev_flushes", s.writev_flushes...);
+    fn(kCounter, "backpressure_stalls", s.backpressure_stalls...);
+    fn(kCounter, "slow_client_disconnects", s.slow_client_disconnects...);
+    fn(kGauge, "peak_outbound_queue_bytes", s.peak_outbound_queue_bytes...);
+    fn(kCounter, "wake_pipe_full_wakes", s.wake_pipe_full_wakes...);
+  }
+};
+
 /// Serves a RequestHandler on a TCP port.
 class TcpServer {
  public:
@@ -62,15 +86,7 @@ class TcpServer {
     std::shared_ptr<obs::MetricsRegistry> metrics;
   };
 
-  /// Structural counters for the non-blocking reply path (monotonic since
-  /// Start; peak_outbound_queue_bytes is a high-water mark).
-  struct Stats {
-    std::uint64_t writev_flushes = 0;         ///< gather sendmsg syscalls
-    std::uint64_t backpressure_stalls = 0;    ///< queue crossed the cap
-    std::uint64_t slow_client_disconnects = 0;
-    std::uint64_t peak_outbound_queue_bytes = 0;
-    std::uint64_t wake_pipe_full_wakes = 0;   ///< Wake() hit a full pipe
-  };
+  using Stats = TcpStatFields<std::uint64_t>;
 
   TcpServer(RequestHandler& handler, std::uint16_t port = 0);
   TcpServer(RequestHandler& handler, const Options& options);
@@ -123,17 +139,10 @@ class TcpServer {
   std::thread poll_thread_;
   std::unique_ptr<ThreadPool> pool_;
 
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
   /// Registry-owned counters (pointers stable for the registry's life;
   /// the registry outlives the server via metrics_).
-  struct Counters {
-    obs::Counter* writev_flushes = nullptr;
-    obs::Counter* backpressure_stalls = nullptr;
-    obs::Counter* slow_client_disconnects = nullptr;
-    obs::Gauge* peak_outbound_queue_bytes = nullptr;  // high-water mark
-    obs::Counter* wake_pipe_full_wakes = nullptr;
-  };
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
-  Counters stats_;
+  TcpStatFields<obs::Counter*, obs::Gauge*> stats_;
 
   std::mutex mu_;
   /// Every live connection, keyed by fd. A connection is owned EITHER by

@@ -1,19 +1,11 @@
 // Process-wide metrics registry: named counters, gauges and power-of-2
 // latency histograms behind one snapshot call.
 //
-// Nine PRs grew one ad-hoc stats struct per tier (dimmunix
-// StatCounters, CommunixServer::Stats relaxed atomics, per-tenant
-// LatencyHistogram in the router, TCP flush/backpressure counters) —
-// all observable only from inside the process. This registry
-// generalizes the two patterns those structs share:
-//
-//   * Counter: the hot-path write is one relaxed-ish fetch_add into a
-//     per-thread shard (the dimmunix StatCounters scheme, without the
-//     per-component plumbing); reads sum the shards.
-//   * Histogram: the util/latency_monitor.hpp power-of-2 bucket array,
-//     with a drop-in method surface (Report / MeanNanos /
-//     ApproxQuantile / ApproxP99 / TotalCount) so call sites migrate
-//     without changing shape.
+//   * Counter: the hot-path write is one fetch_add into a per-thread
+//     shard; reads sum the shards.
+//   * Gauge: an instantaneous value, or a high-water mark (UpdateMax).
+//   * Histogram: a power-of-2 bucket array (Report / MeanNanos /
+//     ApproxQuantile / ApproxP99 / TotalCount).
 //
 // Snapshot consistency: each counter's value is a sum of monotonic
 // shards, so a snapshot never under-reports a finished increment and
@@ -32,6 +24,29 @@
 // context-owned shards, the log shipper's per-follower sessions) export
 // through a *probe*: a callback that contributes computed values at
 // snapshot time, unregistered by dropping the returned ProbeHandle.
+//
+// Stat lists. Each tier declares its counters once: a struct of
+// same-typed fields plus a static ForEach that names every field and
+// says whether it is a counter or a gauge,
+//
+//   template <typename C, typename G = C>
+//   struct TcpStatFields {
+//     C writev_flushes{};
+//     G peak_outbound_queue_bytes{};
+//     template <typename Fn, typename... S>
+//     static void ForEach(Fn&& fn, S&&... s) {
+//       fn(MetricKind::kCounter, "writev_flushes", s.writev_flushes...);
+//       fn(MetricKind::kGauge, "peak_outbound_queue_bytes",
+//          s.peak_outbound_queue_bytes...);
+//     }
+//   };
+//
+// The plain-integer instantiation is the tier's public Stats; registry
+// handles (Counter* / Gauge*) or per-thread atomic shards are further
+// instantiations of the same declaration. RegisterStats, ReadStats and
+// EmitStats below are the loops over such a list, so adding a counter
+// means adding its field and its ForEach entry and nothing else. List
+// order is registration order, hence snapshot read order.
 //
 // Registries are instances, not a global — sim tests run many servers
 // in one process. Components take a shared_ptr<MetricsRegistry> in
@@ -122,10 +137,9 @@ struct HistogramSnapshot {
                          const HistogramSnapshot&) = default;
 };
 
-/// Power-of-2-bucket latency histogram, API-compatible with
-/// util/latency_monitor.hpp's LatencyHistogram so migrated call sites
-/// keep their shape. Bucket 0 holds {0, 1}ns; bucket i>0 holds
-/// [2^i, 2^(i+1)); bucket 63 saturates.
+/// Power-of-2-bucket latency histogram. Bucket 0 holds {0, 1}ns; bucket
+/// i>0 holds [2^i, 2^(i+1)); bucket 63 saturates. Report is three
+/// relaxed fetch_adds, safe from any thread.
 class Histogram {
  public:
   void Report(std::uint64_t nanos) {
@@ -271,5 +285,54 @@ class MetricsRegistry {
   std::unordered_map<std::string, Histogram*> histogram_index_;
   std::shared_ptr<detail::ProbeTable> probes_;
 };
+
+// ---- stat lists (see the header comment) ----
+
+enum class MetricKind { kCounter, kGauge };
+
+namespace detail {
+inline void Resolve(MetricsRegistry& r, const std::string& n, Counter*& h) {
+  h = r.GetCounter(n);
+}
+inline void Resolve(MetricsRegistry& r, const std::string& n, Gauge*& h) {
+  h = r.GetGauge(n);
+}
+}  // namespace detail
+
+/// Points every handle of `handles` at `<prefix><name>` in `registry`,
+/// in list order.
+template <typename Handles>
+void RegisterStats(MetricsRegistry& registry, std::string_view prefix,
+                   Handles& handles) {
+  Handles::ForEach(
+      [&](MetricKind, const char* name, auto& handle) {
+        detail::Resolve(registry, std::string(prefix) + name, handle);
+      },
+      handles);
+}
+
+/// Reads every handle of `handles` into the same field of `out`, in list
+/// order.
+template <typename Handles, typename Stats>
+void ReadStats(const Handles& handles, Stats& out) {
+  Handles::ForEach([](MetricKind, const char*, const auto& handle,
+                      std::uint64_t& v) { v = handle->Value(); },
+                   handles, out);
+}
+
+/// Emits every field of `stats` as `<prefix><name>` from a probe.
+template <typename Stats>
+void EmitStats(ProbeSink& sink, std::string_view prefix, const Stats& stats) {
+  Stats::ForEach(
+      [&](MetricKind kind, const char* name, std::uint64_t v) {
+        std::string full = std::string(prefix) + name;
+        if (kind == MetricKind::kGauge) {
+          sink.EmitGauge(std::move(full), v);
+        } else {
+          sink.EmitCounter(std::move(full), v);
+        }
+      },
+      stats);
+}
 
 }  // namespace communix::obs

@@ -70,7 +70,7 @@ ContendedWorkload::ContendedWorkload(const bytecode::SyntheticApp& app,
 }
 
 ContendedResult ContendedWorkload::Run(DimmunixRuntime& runtime,
-                                       LatencyMonitors* latency) const {
+                                       PairLatency* latency) const {
   // Build rigs + monitors.
   std::vector<SiteRig> rigs(sites_.size());
   std::vector<std::unique_ptr<Monitor>> site_monitors;
@@ -149,28 +149,20 @@ ContendedResult ContendedWorkload::Run(DimmunixRuntime& runtime,
         } else {
           // Explicit acquire/release so each op is timed separately.
           using std::chrono::steady_clock;
-          using std::chrono::nanoseconds;
+          const auto nanos = [](steady_clock::duration d) {
+            return static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(d)
+                    .count());
+          };
           ctx.SetLine(rig.enter_line);
           const auto t0 = steady_clock::now();
           const auto acquired = runtime.Acquire(ctx, outer_mon);
-          const auto t1 = steady_clock::now();
-          latency->Report(
-              LatencyOp::kAcquire,
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<nanoseconds>(t1 - t0).count()));
+          latency->acquire.Report(nanos(steady_clock::now() - t0));
           if (!acquired.ok()) continue;
           run_inside();
-          const auto t2 = steady_clock::now();
+          const auto t1 = steady_clock::now();
           runtime.Release(ctx, outer_mon);
-          const auto t3 = steady_clock::now();
-          latency->Report(
-              LatencyOp::kRelease,
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<nanoseconds>(t3 - t2).count()));
-          latency->Report(
-              LatencyOp::kCritical,
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<nanoseconds>(t3 - t0).count()));
+          latency->release.Report(nanos(steady_clock::now() - t1));
         }
       }
       runtime.DetachThread(ctx);

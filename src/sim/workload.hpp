@@ -20,7 +20,7 @@
 
 #include "bytecode/synthetic.hpp"
 #include "dimmunix/runtime.hpp"
-#include "util/latency_monitor.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace communix::sim {
@@ -49,6 +49,12 @@ struct ContendedConfig {
   std::uint64_t seed = 42;
 };
 
+/// Per-operation latency of the timed outer Acquire/Release pairs.
+struct PairLatency {
+  obs::Histogram acquire;
+  obs::Histogram release;
+};
+
 struct ContendedResult {
   double seconds = 0;
   dimmunix::DimmunixRuntime::Stats stats;
@@ -63,7 +69,7 @@ class ContendedWorkload {
   /// Acquire/Release pair is individually timed into it (two steady-clock
   /// reads per op — leave null for wall-clock overhead measurements).
   ContendedResult Run(dimmunix::DimmunixRuntime& runtime,
-                      LatencyMonitors* latency = nullptr) const;
+                      PairLatency* latency = nullptr) const;
 
   /// Same loop on plain std::mutex, no instrumentation — the vanilla
   /// baseline.

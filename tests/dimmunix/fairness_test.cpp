@@ -61,6 +61,7 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
   Monitor m("contested");
 
   constexpr int kBargerCycles = 2'000;
+  std::atomic<bool> holder_holds{false};
   std::atomic<bool> waiter_blocked{false};
   std::atomic<bool> waiter_acquired{false};
   std::atomic<int> barger_cycles_at_acquire{-1};
@@ -74,6 +75,7 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
     {
       ScopedFrame f(ctx, "fair.H", "run", 1);
       ASSERT_TRUE(rt.Acquire(ctx, m).ok());
+      holder_holds.store(true);
       AwaitOrDie([&] { return waiter_blocked.load(); },
                  "waiter never parked");
       rt.Release(ctx, m);
@@ -88,6 +90,10 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
     auto& ctx = rt.AttachThread("waiter");
     {
       ScopedFrame f(ctx, "fair.W", "run", 1);
+      // Only block once the holder has the monitor: a waiter that won
+      // the start-up race would take it uncontended, nobody would ever
+      // park, and both sides would time out.
+      AwaitOrDie([&] { return holder_holds.load(); }, "holder never acquired");
       std::thread announce([&] {
         AwaitOrDie([&] { return rt.GetStats().wait_rounds >= 1; },
                    "waiter never reached the parked state");
@@ -150,6 +156,7 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
   DimmunixRuntime rt(clock);
   Monitor m("contested");
 
+  std::atomic<bool> holder_holds{false};
   std::atomic<bool> waiter_parked{false};
   std::atomic<bool> barge_attempted{false};
 
@@ -158,11 +165,19 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
     {
       ScopedFrame f(ctx, "bp.H", "run", 1);
       ASSERT_TRUE(rt.Acquire(ctx, m).ok());
+      holder_holds.store(true);
       // Release only after the barger's fast-path CAS has provably
-      // failed against the waiter bit, so the counter check below is
-      // deterministic, not a race we usually win.
-      AwaitOrDie([&] { return rt.GetStats().barges_prevented >= 1; },
-                 "barger's fast CAS never observed the waiter bit");
+      // failed against the waiter bit and the barger is queued behind the
+      // waiter, so the counter checks below are deterministic, not a race
+      // we usually win. The CAS failure is counted before the slow path;
+      // the second contended acquisition is counted under the runtime
+      // lock in the same hold that queues the barger.
+      AwaitOrDie(
+          [&] {
+            const auto s = rt.GetStats();
+            return s.barges_prevented >= 1 && s.contended_acquisitions >= 2;
+          },
+          "barger's fast CAS never observed the waiter bit");
       rt.Release(ctx, m);
     }
     rt.DetachThread(ctx);
@@ -172,6 +187,7 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
     auto& ctx = rt.AttachThread("waiter");
     {
       ScopedFrame f(ctx, "bp.W", "run", 1);
+      AwaitOrDie([&] { return holder_holds.load(); }, "holder never acquired");
       std::thread announce([&] {
         AwaitOrDie([&] { return rt.GetStats().wait_rounds >= 1; },
                    "waiter never parked");

@@ -50,9 +50,8 @@ TEST(GaugeTest, SetAndUpdateMax) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram bucket boundaries (the satellite: 1, 2^k, 2^k+1, zero,
-// saturation — for the registry histogram; the util twin is pinned in
-// tests/util/latency_monitor_test.cpp).
+// Histogram: bucket boundaries (1, 2^k, 2^k+1, zero, saturation),
+// reporting, Reset, concurrent reports and quantiles.
 // ---------------------------------------------------------------------------
 
 TEST(HistogramTest, BucketBoundaries) {
@@ -86,7 +85,29 @@ TEST(HistogramTest, ReportAndSnapshot) {
   EXPECT_EQ(h.TotalCount(), 4u);
   h.Reset();
   EXPECT_EQ(h.TotalCount(), 0u);
-  EXPECT_EQ(h.Snapshot().sum_ns, 0u);
+  EXPECT_EQ(h.Snapshot(), HistogramSnapshot{}) << "count, sum and buckets";
+  EXPECT_DOUBLE_EQ(h.MeanNanos(), 0.0);
+  h.Report(10);
+  EXPECT_EQ(h.TotalCount(), 1u);
+  EXPECT_EQ(h.ApproxQuantile(1.0), 15u) << "upper bound of [8, 16)";
+}
+
+TEST(HistogramTest, ConcurrentReportsLoseNothing) {
+  Histogram h;
+  constexpr int kThreads = 4;
+  constexpr int kReports = 5'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kReports; ++i) h.Report(3);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const HistogramSnapshot s = h.Snapshot();
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kReports);
+  EXPECT_EQ(s.sum_ns, static_cast<std::uint64_t>(kThreads) * kReports * 3);
+  EXPECT_EQ(s.buckets[Histogram::BucketFor(3)], s.count);
+  EXPECT_DOUBLE_EQ(h.MeanNanos(), 3.0);
 }
 
 TEST(HistogramTest, QuantilesAreBucketUpperBounds) {

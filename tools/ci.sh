@@ -28,7 +28,9 @@
 # The default mode also repeats the monitor wake-path stress (many
 # waiters + churning bargers, handoff racing an index republish) beyond
 # its single ctest pass, and builds and smoke-runs the repository
-# benchmark (perfbench/: its tests plus a 5 s app_locks run).
+# benchmark (perfbench/: its tests plus a 5 s untraced run of each
+# workload — fleet_sync, app_locks, immunity — each of which must report
+# "correct": true).
 #
 # --tsan: ThreadSanitizer build (separate build-tsan dir) running the
 # dimmunix + util + cluster test binaries — the concurrency-bearing
@@ -201,16 +203,20 @@ echo "ci: observability smoke passed (kStats scrape of both daemons," \
 
 # Benchmark build guard: the repository benchmark (perfbench/) compiles
 # src/ itself, so an API change that breaks it fails here. Its own tests,
-# then a short app_locks run that must report "correct": true.
+# then a short untraced run of every workload, each of which must report
+# "correct": true (their checks read runtime, server and replication
+# counters, so a lost or misrouted counter fails here too).
 python3 perfbench/run.py --test
-BENCH_JSON="$(python3 perfbench/run.py --workload app_locks --seed 1 \
-    --seconds 5 --trace 0 | tail -n 1)"
-if ! printf '%s' "${BENCH_JSON}" | python3 -c \
-    'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)'; then
-  echo "ci: perfbench app_locks smoke not correct: ${BENCH_JSON}"
-  exit 1
-fi
-echo "ci: perfbench smoke passed (benchmark tests, 5 s app_locks run correct)"
+for WORKLOAD in fleet_sync app_locks immunity; do
+  BENCH_JSON="$(python3 perfbench/run.py --workload "${WORKLOAD}" --seed 1 \
+      --seconds 5 --trace 0 | tail -n 1)"
+  if ! printf '%s' "${BENCH_JSON}" | python3 -c \
+      'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)'; then
+    echo "ci: perfbench ${WORKLOAD} smoke not correct: ${BENCH_JSON}"
+    exit 1
+  fi
+done
+echo "ci: perfbench smoke passed (benchmark tests, 5 s fleet_sync, app_locks and immunity runs correct)"
 
 ./build/fig2_server_throughput --smoke --compare --replicas=2 --groups=2 \
     --json=BENCH_fig2.json
