@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "util/fnv.hpp"
-
 namespace communix::dimmunix {
 
 std::size_t OccupancyTable::ClampBuckets(std::size_t buckets) {
@@ -19,13 +17,11 @@ std::size_t OccupancyTable::RecommendedBuckets(std::size_t candidate_keys) {
   return ClampBuckets(want);
 }
 
-OccupancyTable::OccupancyTable(std::size_t buckets)
-    : bucket_count_(ClampBuckets(buckets)),
-      counts_(new std::atomic<std::uint32_t>[bucket_count_]()) {}
+OccupancyTable::OccupancyTable(std::size_t buckets) { Resize(buckets); }
 
 void OccupancyTable::Resize(std::size_t buckets) {
   bucket_count_ = ClampBuckets(buckets);
-  counts_.reset(new std::atomic<std::uint32_t>[bucket_count_]());
+  lines_.reset(new Line[kStripes * bucket_count_ / 16]());
 }
 
 std::size_t CountCandidateKeys(const History& history) {
@@ -91,15 +87,10 @@ std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::BuildInternal(
     index->entries_.push_back(std::move(entry));
   }
 
-  // Per-key adaptive state: peer buckets + fingerprint, then stats
-  // carry-over from `prev` where the candidate content is unchanged.
+  // Per-key adaptive state: the peer buckets the gate reads.
   for (auto& [key, slot] : index->by_outer_top_) {
-    std::uint64_t fp = kFnvOffsetBasis;
     for (const Candidate& cand : slot.candidates) {
-      const Entry& e = *index->entries_[cand.ordinal];
-      fp = HashCombine(fp, e.content_id);
-      fp = HashCombine(fp, cand.position);
-      const auto& sig_entries = e.sig.entries();
+      const auto& sig_entries = index->entries_[cand.ordinal]->sig.entries();
       for (std::size_t j = 0; j < sig_entries.size(); ++j) {
         if (j == cand.position) continue;
         slot.peer_buckets.push_back(OccupancyTable::BucketOf(
@@ -110,12 +101,6 @@ std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::BuildInternal(
     slot.peer_buckets.erase(
         std::unique(slot.peer_buckets.begin(), slot.peer_buckets.end()),
         slot.peer_buckets.end());
-    slot.fingerprint = fp;
-    if (prev != nullptr) {
-      const KeySlot* old = prev->SlotForTopFrame(key);
-      if (old != nullptr && old->fingerprint == fp) slot.stats = old->stats;
-    }
-    if (slot.stats == nullptr) slot.stats = std::make_shared<KeyStats>();
   }
 
   // Collision gauge: distinct index keys sharing an occupancy bucket at

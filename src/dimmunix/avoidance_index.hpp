@@ -13,7 +13,7 @@
 // after construction; the runtime publishes it as a shared_ptr plus a
 // sequence word, and each thread reads its own cached copy until the
 // word moves, so readers never block. Two additions over the original
-// PR-2 design:
+// design:
 //
 //  * Delta rebuilds. Writers no longer deep-copy every signature on each
 //    mutation: Rebuild(prev, history) reuses the previous snapshot's
@@ -29,17 +29,15 @@
 //
 //  * Adaptive per-key state. Each key slot carries the deduplicated
 //    occupancy buckets of its *peer* positions (the top-frame keys of
-//    every other entry of every candidate signature) plus mutable skip/
-//    scan telemetry. The runtime's adaptive gate skips the instantiation
-//    scan when all peer buckets are unoccupied — a candidate signature
-//    can only instantiate if some other thread currently holds or is
-//    blocked at a lock whose stack matches one of the other positions,
-//    and such a stack's top frame hashes into one of those buckets, so
-//    an all-zero read proves the scan would return empty. Telemetry is
-//    carried across delta rebuilds when a key's candidate content is
-//    unchanged (fingerprint match) and reset when it changes — the
-//    "re-arm eagerly" rule for index mutations; occupant-set changes
-//    need no re-arm at all because the gate reads live bucket counters.
+//    every other entry of every candidate signature). The runtime's
+//    adaptive gate skips the instantiation scan when no other thread
+//    occupies any peer bucket — a candidate signature can only
+//    instantiate if some other thread currently holds or is blocked at a
+//    lock whose stack matches one of the other positions, and such a
+//    stack's top frame hashes into one of those buckets, so a zero read
+//    proves the scan would return empty. Index mutations re-arm the gate
+//    by republishing the slot; occupant-set changes need no re-arm at
+//    all because the gate reads live bucket counters.
 #pragma once
 
 #include <array>
@@ -54,17 +52,29 @@
 
 namespace communix::dimmunix {
 
-/// Striped occupancy counters, keyed by top-frame key. Every published
-/// occupancy (a held monitor's acquisition stack, a fast-path pending
-/// slot, a slow-path block announcement) increments the bucket of its
-/// stack's top-frame key *before* becoming visible to instantiation
-/// scans and decrements it only *after* being retracted, so a zero read
-/// proves no matching occupant is visible (hash collisions only cause
-/// extra scans, never missed ones). Counter ops are seq_cst: if the
-/// adaptive gate's zero-read precedes an occupant's increment in the
-/// total order, the skipped acquisition linearizes before that
-/// occupant's — exactly the serialization the fast path's pending-slot
-/// protocol already grants, so the global-lock reference admits it too.
+/// Occupancy counters per top-frame key bucket, sharded by thread. Every
+/// published occupancy (a held monitor's acquisition stack, an
+/// acquisition in flight, a slow-path block announcement) increments the
+/// bucket of its stack's top-frame key *before* becoming visible to
+/// instantiation scans and decrements it only *after* being retracted,
+/// so a zero read proves no matching occupant is visible (hash
+/// collisions only cause extra scans, never missed ones).
+///
+/// Each bucket has one counter per stripe, and a thread writes only the
+/// stripe of its id (StripeOf), laid out stripe-major: threads in
+/// different stripes (any kStripes consecutively attached ones) never
+/// write a cache line another thread writes, so an uncontended
+/// acquire/release pair shares nothing. Count() sums a
+/// bucket over the stripes. A stripe's counter is the sum of the
+/// non-negative entries of the threads writing it, so a sum read while
+/// an occupancy is visible counts it even though the stripes are read
+/// one at a time; and a reader may subtract its own entries (the
+/// instantiation scan ignores the caller) without going below zero.
+///
+/// Counter ops are seq_cst. That makes the adaptive gate a Dekker
+/// pairing: every gate enters its caller's bucket before it reads the
+/// peer buckets, so of two acquisitions at peer positions of one
+/// signature at least one reads the other's entry.
 ///
 /// The table width is configurable (power of two): collisions between a
 /// signature's peer keys and unrelated hot keys cost skipped skips, so a
@@ -78,6 +88,9 @@ class OccupancyTable {
   static constexpr std::size_t kDefaultBuckets = 1024;
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
+  /// Counter shards per bucket. Threads whose ids collide modulo this
+  /// share a stripe, which stays correct and costs only shared lines.
+  static constexpr std::size_t kStripes = 16;
 
   /// Rounds `buckets` to the nearest power of two in [kMin, kMax].
   static std::size_t ClampBuckets(std::size_t buckets);
@@ -100,33 +113,49 @@ class OccupancyTable {
   }
   std::size_t bucket_count() const { return bucket_count_; }
 
-  /// Replaces the counter array with a wider one. NOT thread-safe: the
+  /// The stripe a thread with this id writes.
+  static std::size_t StripeOf(std::uint64_t thread_id) {
+    return thread_id % kStripes;
+  }
+
+  /// Replaces the counter arrays with wider ones. NOT thread-safe: the
   /// caller must guarantee no occupancy is live and no thread can
   /// publish one concurrently (the runtime resizes only while no thread
   /// is attached, which implies both).
   void Resize(std::size_t buckets);
 
-  void Enter(std::uint32_t bucket) {
-    counts_[bucket].fetch_add(1, std::memory_order_seq_cst);
+  void Enter(std::size_t stripe, std::uint32_t bucket) {
+    At(stripe, bucket).fetch_add(1, std::memory_order_seq_cst);
   }
-  void Leave(std::uint32_t bucket) {
-    counts_[bucket].fetch_sub(1, std::memory_order_seq_cst);
+  void Leave(std::size_t stripe, std::uint32_t bucket) {
+    At(stripe, bucket).fetch_sub(1, std::memory_order_seq_cst);
   }
 
-  bool AnyOccupied(const std::vector<std::uint32_t>& buckets) const {
-    for (const std::uint32_t b : buckets) {
-      if (counts_[b].load(std::memory_order_seq_cst) != 0) return true;
+  /// Entries in `bucket`, summed over every stripe.
+  std::uint32_t Count(std::uint32_t bucket) const {
+    std::uint32_t n = 0;
+    for (std::size_t s = 0; s < kStripes; ++s) {
+      n += At(s, bucket).load(std::memory_order_seq_cst);
     }
-    return false;
-  }
-
-  std::uint32_t Count(std::uint32_t bucket) const {  // introspection/tests
-    return counts_[bucket].load(std::memory_order_seq_cst);
+    return n;
   }
 
  private:
+  /// One cache line of counters; stripes are whole lines because the
+  /// width is a power of two no smaller than a line's worth.
+  struct alignas(64) Line {
+    std::atomic<std::uint32_t> counts[16];
+  };
+  static_assert(kMinBuckets % 16 == 0);
+
+  std::atomic<std::uint32_t>& At(std::size_t stripe,
+                                 std::uint32_t bucket) const {
+    const std::size_t i = stripe * bucket_count_ + bucket;
+    return lines_[i / 16].counts[i % 16];
+  }
+
   std::size_t bucket_count_;
-  std::unique_ptr<std::atomic<std::uint32_t>[]> counts_;
+  std::unique_ptr<Line[]> lines_;
 };
 
 class AvoidanceIndex {
@@ -147,28 +176,11 @@ class AvoidanceIndex {
     std::uint64_t content_id = 0;
   };
 
-  /// Mutable adaptive telemetry for one key. Guarded by the runtime
-  /// mutex (the gate runs only on the slow path); shared across delta
-  /// rebuilds while the key's candidate content is unchanged.
-  struct KeyStats {
-    std::uint64_t scans = 0;           // instantiation scans executed
-    std::uint64_t instantiations = 0;  // scans that found an occupant set
-    /// Gate evaluations that proved the scan empty (no occupied peer
-    /// bucket). Drives the 1-in-N verification sampling; all but the
-    /// sampled evaluations skipped the scan outright.
-    std::uint64_t gate_hits = 0;
-    std::uint64_t verify_scans = 0;    // sampled gate-verification scans
-  };
-
   struct KeySlot {
     std::vector<Candidate> candidates;
     /// Deduplicated occupancy buckets of every other position of every
     /// candidate signature — the adaptive gate's read set.
     std::vector<std::uint32_t> peer_buckets;
-    /// Hash of the candidate (content_id, position) sequence; equal
-    /// fingerprints across rebuilds let the slot keep its stats.
-    std::uint64_t fingerprint = 0;
-    std::shared_ptr<KeyStats> stats;
   };
 
   /// Builds the index of `history`'s *enabled* signatures from scratch,
@@ -181,23 +193,22 @@ class AvoidanceIndex {
 
   /// Delta rebuild: derives the next snapshot from `prev` plus whatever
   /// mutation `history` now reflects. Entries whose content id survived
-  /// are reused (no signature deep copy); key slots whose candidate
-  /// content is unchanged keep their adaptive stats. Observationally
-  /// identical to Build(history, version).
+  /// are reused (no signature deep copy). Observationally identical to
+  /// Build(history, version).
   static std::shared_ptr<const AvoidanceIndex> Rebuild(
       const AvoidanceIndex& prev, const History& history,
       std::uint64_t version,
       std::size_t occupancy_buckets = OccupancyTable::kDefaultBuckets);
 
   /// Candidates whose outer top frame key is `top_key`; nullptr if none.
-  /// This is the only call the acquisition fast path makes.
   const std::vector<Candidate>* CandidatesForTopFrame(
       std::uint64_t top_key) const {
     const KeySlot* slot = SlotForTopFrame(top_key);
     return slot == nullptr ? nullptr : &slot->candidates;
   }
 
-  /// Full key slot (candidates + adaptive state); nullptr if none.
+  /// Full key slot (candidates + peer buckets); nullptr if none. This is
+  /// the only call the acquisition fast path makes.
   const KeySlot* SlotForTopFrame(std::uint64_t top_key) const {
     auto it = by_outer_top_.find(top_key);
     if (it == by_outer_top_.end()) return nullptr;

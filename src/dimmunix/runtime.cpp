@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "util/logging.hpp"
 
@@ -147,12 +149,8 @@ void DimmunixRuntime::RepublishIndexLocked() {
 }
 
 void DimmunixRuntime::PublishAcquisition(ThreadContext& ctx, Monitor& m,
-                                         StackRef stack) {
-  const std::uint32_t bucket = occupancy_.Bucket(stack.TopKey());
-  // Occupancy discipline: enter the bucket *before* the holding becomes
-  // visible, leave it only *after* retraction (UnpublishAcquisition) —
-  // a zero bucket must prove no matching occupant is visible.
-  if (options_.avoidance_enabled) occupancy_.Enter(bucket);
+                                         StackRef stack,
+                                         std::uint32_t bucket) {
   std::lock_guard pub(ctx.state_mu_);
   m.recursion_ = 1;
   m.acq_stack_ = stack;
@@ -163,7 +161,9 @@ void DimmunixRuntime::PublishAcquisition(ThreadContext& ctx, Monitor& m,
 void DimmunixRuntime::UnpublishAcquisition(ThreadContext& ctx, Monitor& m) {
   // Runs while `ctx` still owns `m`: scanners holding state_mu_ see the
   // holding and its stack atomically retracted, and no new owner can
-  // write acq_stack_ until owner_ is cleared afterwards.
+  // write acq_stack_ until owner_ is cleared afterwards. The occupancy
+  // entry is left only *after* the retraction, so a zero bucket proves
+  // no matching occupant is visible.
   std::uint32_t bucket;
   {
     std::lock_guard pub(ctx.state_mu_);
@@ -174,7 +174,26 @@ void DimmunixRuntime::UnpublishAcquisition(ThreadContext& ctx, Monitor& m) {
     m.acq_bucket_ = 0;
     m.recursion_ = 0;
   }
-  if (options_.avoidance_enabled) occupancy_.Leave(bucket);
+  if (options_.avoidance_enabled) {
+    occupancy_.Leave(OccupancyTable::StripeOf(ctx.id()), bucket);
+  }
+}
+
+bool DimmunixRuntime::PeersOccupied(const ThreadContext& ctx,
+                                    const AvoidanceIndex::KeySlot& slot,
+                                    std::uint32_t self_bucket) const {
+  for (const std::uint32_t b : slot.peer_buckets) {
+    std::uint32_t n = occupancy_.Count(b);
+    if (n == 0) continue;
+    // The scan ignores the caller, so its own entries prove nothing. They
+    // are in the sum (this thread wrote them), so n never wraps.
+    if (b == self_bucket) --n;
+    for (const Monitor* h : ctx.held_) {
+      if (h->acq_bucket_ == b) --n;
+    }
+    if (n != 0) return true;
+  }
+  return false;
 }
 
 std::vector<ThreadContext*> DimmunixRuntime::FindImminentInstantiation(
@@ -203,20 +222,26 @@ std::vector<ThreadContext*> DimmunixRuntime::FindImminentInstantiation(
           // Sample the thread's published held-set under its publication
           // lock: fast-path acquisitions are visible here even though
           // they never took the runtime lock.
-          std::lock_guard pub(u->state_mu_);
+          std::unique_lock pub(u->state_mu_);
+          if ((u->pending_seq_ & 1) != 0) {
+            // An unresolved fast attempt: wait, outside its lock, for it
+            // to commit (then it is in held_) or retract. A later attempt
+            // is not waited for: it entered its bucket after this scan's
+            // caller entered its own, so if it could occupy a position
+            // here, its gate reads the caller's entry and it retracts.
+            const std::uint64_t seen = u->pending_seq_;
+            do {
+              pub.unlock();
+              OnGateStep(ctx, GateStep::kScanWait);
+              std::this_thread::yield();
+              pub.lock();
+            } while (u->pending_seq_ == seen);
+          }
           for (Monitor* h : u->held_) {
             if (h == &m) continue;
             if (entries[j].outer.MatchesSuffixOf(h->acq_stack_)) {
               options[j].push_back(Occupant{u, h});
             }
-          }
-          // An in-flight fast-path acquisition counts too ("holding or
-          // blocked at"): whether its CAS wins (holding) or loses (about
-          // to block), the thread is at that lock statement with this
-          // stack in every equivalent global-lock serialization.
-          if (u->pending_acquire_ != nullptr && u->pending_acquire_ != &m &&
-              entries[j].outer.MatchesSuffixOf(u->pending_stack_)) {
-            options[j].push_back(Occupant{u, u->pending_acquire_});
           }
         }
         if (u->waiting_for_ != nullptr && u->waiting_for_ != &m &&
@@ -355,14 +380,15 @@ Status DimmunixRuntime::Acquire(ThreadContext& ctx, Monitor& m) {
     // calling thread, and the capture is a pointer and a depth into its
     // interned frames, which every publication below copies as is.
     const StackRef stack = ctx.Capture(options_.max_stack_depth);
-    if (TryFastAcquire(ctx, m, stack)) return Status::Ok();
+    bool verify = false;
+    if (TryFastAcquire(ctx, m, stack, &verify)) return Status::Ok();
     ctx.counters_.slow_path_entries.fetch_add(1, std::memory_order_relaxed);
-    return AcquireSlow(ctx, m, stack);
+    return AcquireSlow(ctx, m, stack, verify);
   }
 
   const StackRef stack = ctx.Capture(options_.max_stack_depth);
   ctx.counters_.slow_path_entries.fetch_add(1, std::memory_order_relaxed);
-  return AcquireSlow(ctx, m, stack);
+  return AcquireSlow(ctx, m, stack, false);
 }
 
 const AvoidanceIndex& DimmunixRuntime::FastPathIndex(ThreadContext& ctx) {
@@ -375,75 +401,90 @@ const AvoidanceIndex& DimmunixRuntime::FastPathIndex(ThreadContext& ctx) {
 }
 
 bool DimmunixRuntime::TryFastAcquire(ThreadContext& ctx, Monitor& m,
-                                     StackRef stack) {
+                                     StackRef stack, bool* verify) {
+  const std::uint64_t top_key = stack.TopKey();
+  const std::uint32_t bucket = occupancy_.Bucket(top_key);
+  const std::size_t stripe = OccupancyTable::StripeOf(ctx.id());
+  const AvoidanceIndex::KeySlot* gate = nullptr;
   if (options_.avoidance_enabled) {
-    const AvoidanceIndex& index = FastPathIndex(ctx);
-    if (!index.empty() &&
-        index.CandidatesForTopFrame(stack.TopKey()) != nullptr) {
-      // Some enabled signature has an outer stack ending at this lock
-      // statement: the instantiation check must run under the lock.
-      return false;
-    }
-    // No candidates: no enabled signature gates this acquisition *now*,
-    // so its own avoidance check is a no-op. The acquisition linearizes
-    // at the sequence-word read above — a signature published after it
-    // behaves as if installed just after this acquisition's gate was
-    // evaluated, exactly like a global-lock acquisition that ran just
-    // before the install. The pending slot below keeps the other half of that
-    // equivalence: such an acquisition must still be *visible* to every
-    // later instantiation scan.
+    gate = FastPathIndex(ctx).SlotForTopFrame(top_key);
+    // Without the adaptive gate, a candidate hit must scan under mu_.
+    if (gate != nullptr && !AdaptiveGateEnabled()) return false;
+    // Enter the bucket before anything else: a zero bucket read by a
+    // peer's gate proves this thread is not yet a visible occupant,
+    // ordering that acquisition before ours; and our own gate read below
+    // comes after this entry (the Dekker pairing; see the class comment).
+    OnGateStep(ctx, GateStep::kEnter);
+    occupancy_.Enter(stripe, bucket);
   }
-  // Advertise the attempt before claiming ownership: an avoidance scan
-  // that runs between the CAS and the held_-set publication still sees
-  // (monitor, stack) via the pending slot, so there is no window in
-  // which a concurrently installed signature could miss this holder.
-  // The occupancy bucket is entered first of all (and left only if the
-  // CAS loses): a zero bucket read by the adaptive gate proves this
-  // thread is not yet a visible occupant, ordering the gated
-  // acquisition before ours in the equivalent serialization.
-  const std::uint32_t bucket = occupancy_.Bucket(stack.TopKey());
-  if (options_.avoidance_enabled) occupancy_.Enter(bucket);
+  // Advertise the attempt as unresolved before reading the gate or
+  // claiming ownership: a scan that runs before the commit below waits
+  // for it instead of missing a holder or counting a phantom.
+  OnGateStep(ctx, GateStep::kPublish);
   {
     std::lock_guard pub(ctx.state_mu_);
-    ctx.pending_acquire_ = &m;
-    ctx.pending_stack_ = stack;
+    ++ctx.pending_seq_;
   }
-  std::uintptr_t expected = 0;
-  if (!m.owner_word_.compare_exchange_strong(expected,
-                                             Monitor::Pack(&ctx, false),
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-    if ((expected & Monitor::kWaiterBit) != 0) {
+  // A republish since our snapshot was taken: the scans it enables may
+  // already have run without seeing the slot above, so this attempt does
+  // not linearize before them. Rare (history writes); take the slow path.
+  bool proceed = !options_.avoidance_enabled ||
+                 index_seq_.load(std::memory_order_acquire) == ctx.index_seq_;
+  if (proceed && gate != nullptr) {
+    OnGateStep(ctx, GateStep::kPeerRead);
+    if (PeersOccupied(ctx, *gate, bucket)) {
+      proceed = false;  // the slow path scans
+    } else if (SampleDue(ctx)) {
+      proceed = false;
+      *verify = true;
+    }
+  }
+  if (proceed) {
+    OnGateStep(ctx, GateStep::kCas);
+    std::uintptr_t expected = 0;
+    proceed = m.owner_word_.compare_exchange_strong(
+        expected, Monitor::Pack(&ctx, false), std::memory_order_acq_rel,
+        std::memory_order_relaxed);
+    if (!proceed && (expected & Monitor::kWaiterBit) != 0) {
       // The word carries the waiter bit: parked waiters are queued, the
       // word never returns to 0 until the queue drains, and this CAS —
       // which under the barging protocol could have stolen the monitor
       // the instant a release freed it — is structurally locked out.
       ctx.counters_.barges_prevented.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+  if (!proceed) {
+    // Contended, gated or stale: the slow path decides. Retract first,
+    // then leave the bucket, so a zero bucket still proves absence.
+    OnGateStep(ctx, GateStep::kRetract);
     {
       std::lock_guard pub(ctx.state_mu_);
-      ctx.pending_acquire_ = nullptr;
+      ++ctx.pending_seq_;
     }
-    if (options_.avoidance_enabled) occupancy_.Leave(bucket);
-    return false;  // contended: blocking/detection belongs to the slow path
+    if (options_.avoidance_enabled) occupancy_.Leave(stripe, bucket);
+    return false;
   }
   {
     std::lock_guard pub(ctx.state_mu_);
     m.recursion_ = 1;
-    m.acq_stack_ = ctx.pending_stack_;
-    m.acq_bucket_ = bucket;  // the pending entry transfers to the holding
+    m.acq_stack_ = stack;
+    m.acq_bucket_ = bucket;  // the attempt's entry becomes the holding's
     ctx.held_.push_back(&m);
-    ctx.pending_acquire_ = nullptr;
+    ++ctx.pending_seq_;
+  }
+  if (gate != nullptr) {
+    ctx.counters_.scans_skipped.fetch_add(1, std::memory_order_relaxed);
   }
   ctx.counters_.fast_path_acquisitions.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
-                                    StackRef stack) {
+                                    StackRef stack, bool verify) {
   // Callbacks collected under the lock, invoked after unlocking.
   std::vector<std::pair<SignatureCallback, Signature>> pending;
   Status result = Status::Ok();
+  OnGateStep(ctx, GateStep::kSlowPath);
 
   {
     std::unique_lock lock(mu_);
@@ -451,6 +492,17 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
     if (m.owner(std::memory_order_relaxed) == &ctx) {  // reentrant
       ++m.recursion_;
       return Status::Ok();
+    }
+
+    // This acquisition's occupancy entry, held from before the gate
+    // below reads its peers (the slow gate's half of the Dekker pairing
+    // with fast gates), through the block announcement, until the grant
+    // turns it into the holding's entry or a detection abort leaves it.
+    const std::uint32_t self_bucket = occupancy_.Bucket(stack.TopKey());
+    const std::size_t stripe = OccupancyTable::StripeOf(ctx.id());
+    if (options_.avoidance_enabled) {
+      OnGateStep(ctx, GateStep::kEnter);
+      occupancy_.Enter(stripe, self_bucket);
     }
 
     // ---- avoidance (§II-A) ----
@@ -464,20 +516,24 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
         const AvoidanceIndex::KeySlot* slot =
             index_->SlotForTopFrame(top_key);
         if (slot == nullptr) break;  // no candidates gate this site
-        // Adaptive gate: if no thread occupies any *other* position of
-        // any candidate signature (all peer buckets zero), the
-        // instantiation scan is provably empty — skip it. Occupant-set
-        // changes re-arm automatically (the gate reads live counters);
-        // index changes re-arm via the republished slot above.
+        // Adaptive gate: if no other thread occupies any *other*
+        // position of any candidate signature (all peer buckets zero),
+        // the instantiation scan is provably empty — skip it.
+        // Occupant-set changes re-arm automatically (the gate reads live
+        // counters); index changes re-arm via the republished slot above.
+        // A verification the fast path deferred scans either way.
+        const bool forced = std::exchange(verify, false);
+        bool peers_free = false;
+        if (AdaptiveGateEnabled()) {
+          OnGateStep(ctx, GateStep::kPeerRead);
+          peers_free = !PeersOccupied(ctx, *slot, self_bucket);
+        }
         bool verifying_skip = false;
-        if (AdaptiveGateEnabled() &&
-            !occupancy_.AnyOccupied(slot->peer_buckets)) {
-          const std::uint64_t hits = ++slot->stats->gate_hits;
-          if (options_.adaptive_verify_sample == 0 ||
-              hits % options_.adaptive_verify_sample != 0) {
+        if (peers_free) {
+          if (!forced && !SampleDue(ctx)) {
             // scans_skipped counts only scans actually elided, so
             // scans_skipped + instantiation_scans = candidate-hit gate
-            // evaluations (exact arithmetic for the bench/tests).
+            // decisions (exact arithmetic for the bench/tests).
             ctx.counters_.scans_skipped.fetch_add(1,
                                                   std::memory_order_relaxed);
             break;
@@ -486,7 +542,6 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
           // right it finds nothing, and if it is wrong we fail safe by
           // honoring the scan (and count the mismatch).
           verifying_skip = true;
-          ++slot->stats->verify_scans;
           ctx.counters_.sampled_verification_scans.fetch_add(
               1, std::memory_order_relaxed);
         }
@@ -497,13 +552,11 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
         waiter.Register();
         const std::uint64_t observed = state_version_.load();
         std::uint64_t matched = 0;
-        ++slot->stats->scans;
         ctx.counters_.instantiation_scans.fetch_add(1,
                                                     std::memory_order_relaxed);
         auto occupants = FindImminentInstantiation(ctx, m, stack,
                                                    *index_, &matched);
         if (occupants.empty()) break;
-        ++slot->stats->instantiations;
         if (verifying_skip) {
           ctx.counters_.adaptive_gate_mismatches.fetch_add(
               1, std::memory_order_relaxed);
@@ -556,7 +609,7 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
     }
 
     // ---- blocking + detection (§II-A) ----
-    const std::uint32_t self_bucket = occupancy_.Bucket(stack.TopKey());
+    OnGateStep(ctx, GateStep::kCas);
     bool counted_contention = false;
     bool announced = false;
     bool granted = false;
@@ -636,11 +689,9 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
       }
       if (!announced) {
         // The block announcement is a published occupancy ("blocked at"
-        // counts toward instantiations): enter the bucket before it
-        // becomes visible. All transitions here run under mu_, so the
-        // adaptive gate (also under mu_) sees them atomically. The queue
-        // entry makes us a handoff candidate from here on.
-        if (options_.avoidance_enabled) occupancy_.Enter(self_bucket);
+        // counts toward instantiations), already covered by this
+        // acquisition's bucket entry. The queue entry makes us a handoff
+        // candidate from here on.
         ctx.waiting_for_ = &m;
         ctx.waiting_stack_ = stack;
         m.wait_queue_.push_back(&ctx);
@@ -678,11 +729,10 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
       auto it = std::find(m.wait_queue_.begin(), m.wait_queue_.end(), &ctx);
       if (it != m.wait_queue_.end()) m.wait_queue_.erase(it);
       ctx.waiting_for_ = nullptr;
-      if (options_.avoidance_enabled) occupancy_.Leave(self_bucket);
     }
 
     if (granted) {
-      PublishAcquisition(ctx, m, stack);
+      PublishAcquisition(ctx, m, stack, self_bucket);
       // Others may still be queued behind us (we claimed by CAS in the
       // instant before a not-yet-parked waiter flagged the word, or a
       // handoff left a tail): keep the waiter bit so our own release
@@ -691,6 +741,8 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
         m.owner_word_.fetch_or(Monitor::kWaiterBit);
       }
       NotifyStateChangedLocked();  // occupancy changed
+    } else if (options_.avoidance_enabled) {
+      occupancy_.Leave(stripe, self_bucket);  // aborted by detection
     }
   }
 
@@ -832,6 +884,11 @@ bool DimmunixRuntime::IsWakeTurnLocked(const ThreadContext& ctx) const {
 void DimmunixRuntime::SetWakeOrderHookForTest(WakeOrderHook hook) {
   std::lock_guard lock(mu_);
   wake_order_hook_ = std::move(hook);
+}
+
+void DimmunixRuntime::SetGateStepHookForTest(GateStepHook hook) {
+  std::lock_guard lock(mu_);
+  gate_step_hook_ = std::move(hook);
 }
 
 int DimmunixRuntime::AddSignature(Signature sig, SignatureOrigin origin) {

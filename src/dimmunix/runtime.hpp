@@ -26,42 +26,63 @@
 // Concurrency: two-tier fast-path/slow-path architecture.
 //
 //  * Fast path (RuntimeMode::kFastPath, the default). An acquisition
-//    whose captured stack's top frame has no candidates in the published
-//    AvoidanceIndex — i.e. no enabled signature could possibly gate it —
-//    and whose monitor is free claims ownership with a single CAS and
-//    publishes its holding under the calling thread's own publication
-//    lock, never touching the runtime-wide mutex. Release symmetrically
-//    fast-paths when no waiter or suspended avoider could need waking.
-//    The index is an immutable snapshot republished by every history
-//    writer, which then bumps a sequence word. Each thread keeps its own
-//    shared_ptr copy of the snapshot and re-copies it (under a small
-//    publication mutex) only when the sequence word has moved, so a
-//    steady-state acquisition reads one shared word and writes none; a
-//    retired snapshot is freed once no thread's copy refers to it.
-//    Writers publish *delta* rebuilds derived from the previous snapshot
-//    (signature entries are shared, not re-copied) with a periodic full
-//    rebuild as a safety net. A fast acquisition linearizes at its
-//    sequence-word read: it behaves exactly like a global-lock
-//    acquisition that ran just before any concurrently-learned signature
-//    was installed.
+//    whose monitor is free and that no enabled signature could gate
+//    claims ownership with a single CAS and publishes its holding under
+//    the calling thread's own publication lock, never touching the
+//    runtime-wide mutex. Release symmetrically fast-paths when no waiter
+//    or suspended avoider could need waking. Whether a signature could
+//    gate the acquisition is read from the published AvoidanceIndex, an
+//    immutable snapshot republished by every history writer, which then
+//    bumps a sequence word. Each thread keeps its own shared_ptr copy of
+//    the snapshot and re-copies it (under a small publication mutex)
+//    only when the sequence word has moved, so a steady-state
+//    acquisition reads one shared word; a retired snapshot is freed once
+//    no thread's copy refers to it. Writers publish *delta* rebuilds
+//    derived from the previous snapshot (signature entries are shared,
+//    not re-copied) with a periodic full rebuild as a safety net.
 //
-//    Candidate hits are additionally gated by the *adaptive* scan gate:
-//    each published occupancy (held monitor, pending fast-path slot,
-//    announced block) counts into a striped per-top-key occupancy table,
-//    and a candidate-hit acquisition runs the instantiation scan only if
-//    some bucket of a *peer* position of one of its candidate signatures
-//    is non-zero. An all-zero read proves the scan would find no
-//    occupant set, so skipping it is decision-identical to the
-//    always-scan kGlobalLock reference (the schedule-harness equivalence
-//    test exercises exactly this claim).
+//    The index lookup gives one of two answers. If the captured stack's
+//    top frame has no candidates, the acquisition goes straight to the
+//    CAS. If it has (a *candidate hit*), the *adaptive* scan gate runs on
+//    the fast path too: every published occupancy (held monitor,
+//    acquisition in flight, announced block) counts into an occupancy
+//    table sharded by thread (OccupancyTable), and the gate reads the
+//    buckets of the *peer* positions of the key's candidate signatures.
+//    If no other thread has an entry there, the instantiation scan
+//    would provably find no occupant set, so the acquisition skips it
+//    and CASes; otherwise it takes the slow path, which scans. Every
+//    fast acquisition runs these steps in order, so that its decision
+//    matches the always-scan kGlobalLock reference (the schedule-harness
+//    equivalence and gate-race tests exercise exactly this claim):
+//      1. Enter its own bucket, publish its pending slot, marked
+//         unresolved, and check that the index sequence word has not
+//         moved since its snapshot (else: slow path). A scan that starts
+//         after a republish therefore sees every attempt made under an
+//         older snapshot, and the acquisition linearizes at that second
+//         sequence-word read.
+//      2. Candidate hits only: read the peer buckets, minus its own
+//         entries (the scan ignores the caller). Both this gate and the
+//         slow-path gate enter the caller's bucket before reading: a
+//         Dekker pairing, so two acquisitions at peer positions of one
+//         signature cannot both read zero.
+//      3. If no peer is occupied, CAS and commit into the held-set,
+//         which resolves the slot. Otherwise (or if the CAS loses),
+//         retract the slot and take the slow path.
+//    A scan that meets an unresolved slot waits until it commits (an
+//    occupant) or retracts (not one), so a retracted attempt is never a
+//    phantom occupant. Every Nth zero read per thread
+//    (Options::adaptive_verify_sample) is verified: the fast path hands
+//    it to the slow path with the scan forced, and a scan that finds an
+//    instantiation after a zero read counts a gate mismatch.
 //
-//  * Slow path. Candidate hits, contention, reentrancy in global-lock
-//    mode, and detection all take the runtime-wide mutex `mu_`, which
-//    keeps the instantiation check atomic with the lock grant exactly as
-//    in the original centralized design. RuntimeMode::kGlobalLock routes
-//    *every* operation through this path — it is the bit-identical
-//    legacy behavior, kept as the reference for the fast-vs-global
-//    equivalence property test.
+//  * Slow path. Instantiation scans, avoidance suspensions, contention
+//    and detection take the runtime-wide mutex `mu_`, which keeps the
+//    instantiation check atomic with the lock grant exactly as in the
+//    original centralized design (so do reentrant acquisitions in
+//    global-lock mode). RuntimeMode::kGlobalLock routes *every*
+//    operation through this path — it is the bit-identical legacy
+//    behavior, kept as the reference for the fast-vs-global equivalence
+//    property test.
 //
 //    Waits are version-gated: every state change under `mu_` bumps
 //    `state_version_`, and sleepers re-check it before parking. A
@@ -134,14 +155,16 @@ class DimmunixRuntime {
     RuntimeMode mode = RuntimeMode::kFastPath;
     /// Adaptive scan gate (kFastPath only): candidate-hit sites whose
     /// candidate signatures have no live occupant in any *other* position
-    /// skip the instantiation scan. Provably decision-identical to the
-    /// always-scan kGlobalLock reference — the gate only elides scans
-    /// that must return empty (see OccupancyTable).
+    /// skip the instantiation scan and stay on the fast path. Provably
+    /// decision-identical to the always-scan kGlobalLock reference — the
+    /// gate only elides scans that must return empty (see the class
+    /// comment and OccupancyTable).
     bool adaptive_avoidance = true;
-    /// Run a verification scan every Nth gate skip and count any
-    /// disagreement in Stats::adaptive_gate_mismatches (0 disables
-    /// sampling). The runtime fails safe on mismatch: it honors the scan
-    /// result, so even a broken gate cannot admit past the reference.
+    /// Run a verification scan every Nth gate skip of each thread and
+    /// count any disagreement in Stats::adaptive_gate_mismatches (0
+    /// disables sampling). The runtime fails safe on mismatch: it honors
+    /// the scan result, so even a broken gate cannot admit past the
+    /// reference.
     std::uint32_t adaptive_verify_sample = 64;
     /// Occupancy-table width (power of two, clamped to
     /// [OccupancyTable::kMinBuckets, kMaxBuckets]). Collisions between
@@ -263,6 +286,25 @@ class DimmunixRuntime {
   using WakeOrderHook =
       std::function<std::size_t(const std::vector<const ThreadContext*>&)>;
   void SetWakeOrderHookForTest(WakeOrderHook hook);
+  /// The points of an acquisition the gate-race tests interleave at,
+  /// each reported just before it runs: the fast path's steps; entry
+  /// into the slow path (before it takes the runtime mutex); the slow
+  /// path's enter, peer read and first CAS (reported under the runtime
+  /// mutex); and each round a scan spends waiting for another thread's
+  /// unresolved pending slot.
+  enum class GateStep : std::uint8_t {
+    kEnter,
+    kPublish,
+    kPeerRead,
+    kCas,
+    kRetract,
+    kSlowPath,
+    kScanWait
+  };
+  using GateStepHook = std::function<void(const ThreadContext&, GateStep)>;
+  /// Installs a hook called at every GateStep. Install it before any
+  /// thread acquires: the fast path reads it without a lock.
+  void SetGateStepHookForTest(GateStepHook hook);
 
  private:
   struct Occupant {
@@ -270,10 +312,16 @@ class DimmunixRuntime {
     const Monitor* lock;
   };
 
-  /// Candidate-free + uncontended-CAS attempt; true iff the acquisition
-  /// completed without the runtime lock.
-  bool TryFastAcquire(ThreadContext& ctx, Monitor& m, StackRef stack);
-  Status AcquireSlow(ThreadContext& ctx, Monitor& m, StackRef stack);
+  /// Lock-free attempt (see the class comment); true iff the acquisition
+  /// completed without the runtime lock. Sets `*verify` when it falls
+  /// back only because its zero peer read is due for sampling.
+  bool TryFastAcquire(ThreadContext& ctx, Monitor& m, StackRef stack,
+                      bool* verify);
+  /// The acquisition under `mu_`. With `verify`, the first gate
+  /// evaluation scans even on a zero read and counts it as the sampled
+  /// verification the fast path deferred.
+  Status AcquireSlow(ThreadContext& ctx, Monitor& m, StackRef stack,
+                     bool verify);
   /// `ctx`'s copy of the published avoidance index, refreshed if a
   /// republish happened since it was taken (owning thread only).
   const AvoidanceIndex& FastPathIndex(ThreadContext& ctx);
@@ -282,8 +330,9 @@ class DimmunixRuntime {
   /// If granting (ctx, m, stack) completes an instantiation of an enabled
   /// signature in `index`, returns the other occupants (and the matched
   /// signature's content id via `matched`); otherwise empty. Caller holds
-  /// mu_; the per-thread held-sets are sampled under their publication
-  /// locks so fast-path holdings are visible.
+  /// mu_ and has entered its occupancy bucket; the per-thread held-sets
+  /// are sampled under their publication locks so fast-path holdings are
+  /// visible, after waiting out any unresolved pending slot.
   std::vector<ThreadContext*> FindImminentInstantiation(
       const ThreadContext& ctx, const Monitor& m, StackRef stack,
       const AvoidanceIndex& index, std::uint64_t* matched_content_id) const;
@@ -309,9 +358,9 @@ class DimmunixRuntime {
 
   /// Republishes the avoidance index after a history mutation and bumps
   /// the history version. Must be called under mu_. Publishes a delta
-  /// rebuild derived from the previous snapshot (entries reused, key
-  /// stats carried over) except every `full_rebuild_period`-th call,
-  /// which runs the from-scratch full build as a safety net.
+  /// rebuild derived from the previous snapshot (entries reused) except
+  /// every `full_rebuild_period`-th call, which runs the from-scratch
+  /// full build as a safety net.
   void RepublishIndexLocked();
 
   /// True iff the adaptive scan gate applies (fast-path mode only; the
@@ -320,10 +369,27 @@ class DimmunixRuntime {
     return options_.mode == RuntimeMode::kFastPath &&
            options_.adaptive_avoidance;
   }
+  /// The adaptive gate's read: true iff some peer bucket of `slot` holds
+  /// an entry other than `ctx`'s own (its in-flight acquisition at
+  /// `self_bucket` and its holdings). Owning thread only.
+  bool PeersOccupied(const ThreadContext& ctx,
+                     const AvoidanceIndex::KeySlot& slot,
+                     std::uint32_t self_bucket) const;
+  /// Counts a zero peer read on `ctx`; true iff this one is due for a
+  /// verification scan (every adaptive_verify_sample-th per thread).
+  bool SampleDue(ThreadContext& ctx) const {
+    return options_.adaptive_verify_sample != 0 &&
+           ++ctx.gate_skips_ % options_.adaptive_verify_sample == 0;
+  }
+  void OnGateStep(const ThreadContext& ctx, GateStep step) const {
+    if (gate_step_hook_) gate_step_hook_(ctx, step);
+  }
 
   /// Grants `m` to `ctx`: records recursion/acq stack/held entry under
-  /// ctx's publication lock. Ownership of `m` must already be claimed.
-  void PublishAcquisition(ThreadContext& ctx, Monitor& m, StackRef stack);
+  /// ctx's publication lock. Ownership of `m` must already be claimed,
+  /// and the caller's occupancy entry at `bucket` becomes the holding's.
+  void PublishAcquisition(ThreadContext& ctx, Monitor& m, StackRef stack,
+                          std::uint32_t bucket);
   /// Reverse of PublishAcquisition; runs before ownership is cleared.
   void UnpublishAcquisition(ThreadContext& ctx, Monitor& m);
 
@@ -377,6 +443,8 @@ class DimmunixRuntime {
   std::vector<ThreadContext*> parked_order_;
   /// See SetWakeOrderHookForTest. Guarded by mu_.
   WakeOrderHook wake_order_hook_;
+  /// See SetGateStepHookForTest. Written before any acquisition.
+  GateStepHook gate_step_hook_;
 
   std::vector<std::unique_ptr<ThreadContext>> threads_;  // guarded by mu_
   std::uint64_t next_thread_id_ = 1;
@@ -390,10 +458,12 @@ class DimmunixRuntime {
   StatCounters global_counters_;
 
   /// Live occupancy per top-frame-key bucket, feeding the adaptive scan
-  /// gate. Maintained for every published occupancy (held monitors,
-  /// fast-path pending slots, slow-path block announcements) whenever
-  /// avoidance is enabled; index-independent, so signatures learned
-  /// later still see occupants that acquired earlier.
+  /// gate. Maintained whenever avoidance is enabled for every published
+  /// occupancy: held monitors, and acquisitions in flight — from a fast
+  /// attempt's entry to its commit or retraction, and from a slow-path
+  /// acquisition's gate through its block announcement to its grant.
+  /// Index-independent, so signatures learned later still see occupants
+  /// that acquired earlier.
   OccupancyTable occupancy_;
 
   /// Current immutable index snapshot. Replaced under both mu_ and

@@ -32,13 +32,15 @@ struct RuntimeStatFields {
   /// merge rule 1) instead of adding a new history entry.
   T local_generalizations{};
   T false_positives_flagged{};
-  /// Acquisitions completed by the lock-free path (candidate-free top
-  /// frame, uncontended CAS) without touching the runtime mutex.
+  /// Acquisitions completed by the lock-free path (uncontended CAS, and
+  /// a top frame with no candidates or an adaptive gate that read no
+  /// occupied peer bucket) without touching the runtime mutex.
   T fast_path_acquisitions{};
   /// Releases that neither took the runtime mutex nor had to wake anyone.
   T fast_path_releases{};
-  /// Acquisitions that entered the global-lock slow path (every
-  /// acquisition, in kGlobalLock mode).
+  /// Acquisitions that entered the global-lock slow path: scans,
+  /// suspensions, contention and detection (every acquisition, in
+  /// kGlobalLock mode).
   T slow_path_entries{};
   /// Times a thread parked in the runtime's version-gated wait loop.
   T wait_rounds{};
@@ -53,13 +55,14 @@ struct RuntimeStatFields {
   T barges_prevented{};
   /// Full instantiation scans actually executed by the avoidance module.
   T instantiation_scans{};
-  /// Instantiation scans the adaptive gate actually elided (no thread
-  /// occupied any other signature position, and the round was not a
-  /// sampled verification). scans_skipped + instantiation_scans equals
-  /// the candidate-hit scan evaluations; decisions are unchanged.
+  /// Instantiation scans the adaptive gate actually elided, on either
+  /// path (no other thread occupied any other signature position, and
+  /// the zero read was not a sampled verification). scans_skipped +
+  /// instantiation_scans equals the candidate-hit gate decisions;
+  /// decisions are unchanged.
   T scans_skipped{};
-  /// Scans the adaptive gate ran anyway (1-in-N sampling of skips) to
-  /// validate the gate invariant.
+  /// Scans the adaptive gate ran anyway (1-in-N sampling of each
+  /// thread's zero reads) to validate the gate invariant.
   T sampled_verification_scans{};
   /// Sampled verification scans that found an instantiation the gate
   /// claimed impossible. Always 0 unless the occupancy protocol is

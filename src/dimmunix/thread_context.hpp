@@ -15,16 +15,27 @@
 // immutable and live as long as this context.
 //
 // Concurrency: fields fall into three guard classes.
-//  * `top_`, `frames_`, `index_` — written by the owning thread only.
-//    `top_` is atomic only so the reaper can see the stack drain.
-//  * `held_`, the pending-acquisition slot (plus the acq_stack_/
-//    recursion_ of the monitors in `held_`) — published state the
-//    avoidance scanner must see even for fast-path acquisitions. Writes
-//    happen under this thread's `state_mu_`; the scanner (which runs
-//    under the runtime mutex) takes `state_mu_` per scanned thread. The
-//    fast path therefore only ever touches its own cache-local lock,
-//    never the runtime-wide mutex. Publishing a capture copies a
-//    StackRef, so nothing is allocated under `state_mu_`.
+//  * `top_`, `frames_`, `index_`, `gate_skips_` — written by the owning
+//    thread only. `top_` is atomic only so the reaper can see the stack
+//    drain.
+//  * `held_`, the pending slot `pending_seq_` (plus the acq_stack_/
+//    acq_bucket_/recursion_ of the monitors in `held_`) — published
+//    state the avoidance scanner must see even for fast-path
+//    acquisitions. Writes happen on the owning thread under this
+//    thread's `state_mu_`; the scanner (which runs under the runtime
+//    mutex) takes `state_mu_` per scanned thread. The fast path
+//    therefore only ever touches its own cache-local lock, never the
+//    runtime-wide mutex. Since only the owner writes them, the owner may
+//    read `held_` and its monitors' buckets without the lock (the
+//    adaptive gate does, to subtract its own occupancy entries).
+//    Publishing a capture copies a StackRef, so nothing is allocated
+//    under `state_mu_`. The pending slot is *unresolved* while odd: a
+//    fast-path attempt is published and has not yet committed into
+//    `held_` or retracted. An unresolved attempt is neither an occupant
+//    nor provably not one, so a scan that meets it releases `state_mu_`
+//    and waits for that attempt to resolve. Resolving takes only
+//    `state_mu_`, never the runtime mutex the scanner holds, so the
+//    wait is bounded.
 //  * `waiting_for_`, `waiting_stack_`, `in_avoidance_`, `yield_targets_`,
 //    `detached_` — written exclusively under the runtime mutex (these
 //    only change on the slow path).
@@ -118,19 +129,22 @@ class ThreadContext {
   std::shared_ptr<const AvoidanceIndex> index_;
   std::uint64_t index_seq_ = 0;
 
-  /// Publication lock for `held_`, the pending-acquisition slot, and the
-  /// acq_stack_ of owned monitors; see the class comment. Uncontended in
-  /// the fast path.
+  /// Publication lock for `held_`, the pending slot, and the acq_stack_
+  /// of owned monitors; see the class comment. Uncontended in the fast
+  /// path.
   mutable std::mutex state_mu_;
   std::vector<Monitor*> held_;  // monitors currently owned (state_mu_)
-  /// In-flight fast-path acquisition (state_mu_): published *before* the
-  /// ownership CAS so avoidance scans never have a blind window between
-  /// a fast acquirer claiming a monitor and its held_ entry appearing —
-  /// a thread at a lock statement counts as an occupant ("holding or
-  /// blocked at") in every global-lock serialization, so advertising the
-  /// attempt is exactly equivalent.
-  Monitor* pending_acquire_ = nullptr;
-  StackRef pending_stack_;
+  /// Pending slot (state_mu_): bumped when a fast-path attempt is
+  /// published, *before* its occupancy-gate read and ownership CAS, and
+  /// again when it commits into held_ or retracts — odd means
+  /// unresolved. A scan thus never has a blind window between a fast
+  /// acquirer claiming a monitor and its held_ entry appearing, and
+  /// never counts an attempt that will retract (see the class comment).
+  std::uint64_t pending_seq_ = 0;
+  /// Zero peer reads of the adaptive gate on this thread (owning thread
+  /// only); every Options::adaptive_verify_sample-th one is verified by a
+  /// scan.
+  std::uint64_t gate_skips_ = 0;
 
   /// This thread's shard of the runtime statistics; bumped lock-free by
   /// the owning thread, summed by DimmunixRuntime::GetStats, folded into

@@ -1,8 +1,8 @@
 // AvoidanceIndex delta-rebuild properties: a chain of Rebuild() calls
 // (one per history mutation) must stay observationally identical to a
-// from-scratch Build() after every step, while actually reusing the
-// previous snapshot's entries and carrying adaptive key stats across
-// rebuilds that leave a key's candidates unchanged.
+// from-scratch Build() after every step — the same candidates and the
+// same peer buckets per key — while actually reusing the previous
+// snapshot's entries.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -63,7 +63,6 @@ void ExpectObservationallyEqual(const AvoidanceIndex& full,
     ASSERT_EQ(fs == nullptr, ds == nullptr) << "step " << step;
     if (fs != nullptr) {
       EXPECT_EQ(fs->peer_buckets, ds->peer_buckets) << "step " << step;
-      EXPECT_EQ(fs->fingerprint, ds->fingerprint) << "step " << step;
     }
   }
 }
@@ -126,36 +125,6 @@ TEST(AvoidanceIndexTest, DeltaRebuildReusesUnchangedEntries) {
   EXPECT_EQ(delta->entries_copied(), 1u);
   // Reuse is by shared_ptr identity, not by equal copies.
   EXPECT_EQ(&index->entry(0), &delta->entry(0));
-}
-
-TEST(AvoidanceIndexTest, KeyStatsCarryAcrossUnrelatedDeltaRebuilds) {
-  History h;
-  const Signature tracked = MakeSig(1);
-  h.Add(tracked, SignatureOrigin::kRemote, 1);
-  auto index = AvoidanceIndex::Build(h, 1);
-  const std::uint64_t key = tracked.entries()[0].outer.TopKey();
-
-  index->SlotForTopFrame(key)->stats->gate_hits = 7;
-
-  // Unrelated mutation: the tracked key's candidates are unchanged, so
-  // its stats object must be carried over (same pointer).
-  h.Add(MakeSig(50), SignatureOrigin::kRemote, 2);
-  const auto delta = AvoidanceIndex::Rebuild(*index, h, 2);
-  ASSERT_NE(delta->SlotForTopFrame(key), nullptr);
-  EXPECT_EQ(delta->SlotForTopFrame(key)->stats.get(),
-            index->SlotForTopFrame(key)->stats.get());
-  EXPECT_EQ(delta->SlotForTopFrame(key)->stats->gate_hits, 7u);
-
-  // Mutating the key's own candidate set resets its adaptive state (the
-  // "re-arm eagerly on index change" rule).
-  h.Disable(tracked.ContentId());
-  const auto gone = AvoidanceIndex::Rebuild(*delta, h, 3);
-  EXPECT_EQ(gone->SlotForTopFrame(key), nullptr);
-  h.ReEnable(tracked.ContentId());
-  const auto back = AvoidanceIndex::Rebuild(*gone, h, 4);
-  ASSERT_NE(back->SlotForTopFrame(key), nullptr);
-  EXPECT_EQ(back->SlotForTopFrame(key)->stats->gate_hits, 0u)
-      << "re-indexed key must start re-armed";
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Fast-path architecture tests:
-//  * the structural guarantee — uncontended, candidate-free
-//    Acquire/Release cycles never enter the global-lock slow path;
+//  * the structural guarantee — uncontended Acquire/Release cycles whose
+//    top frame has no candidates, or whose candidates' peer positions
+//    are empty, never enter the global-lock slow path; an occupied peer
+//    bucket routes a candidate hit to the slow path's scan;
 //  * the equivalence property — RuntimeMode::kFastPath and kGlobalLock
 //    produce identical avoidance/detection outcomes on randomized
 //    workloads (single-threaded traces, scripted suspension scenarios,
 //    and the ABBA immunity lifecycle);
-//  * a multithreaded stress of concurrent fast-path acquire/release vs.
-//    index republish + snapshot polling (run under ThreadSanitizer by
+//  * multithreaded stresses of concurrent fast-path acquire/release vs.
+//    index republish + snapshot polling, and of fast and slow adaptive
+//    gates racing on one signature (run under ThreadSanitizer by
 //    tools/ci.sh --tsan);
 //  * the DetachThread reap regression (threads_ must not grow without
 //    bound under attach/detach churn).
@@ -99,26 +102,67 @@ TEST(FastPathTest, GlobalLockModeRoutesEverythingThroughSlowPath) {
   EXPECT_EQ(stats.fast_path_releases, 0u);
 }
 
-TEST(FastPathTest, CandidateHitRoutesToSlowPath) {
+/// Signature whose first outer top frame IS the acquiring site below
+/// (hit.A sync:30); its peer position's top frame is hit.B sync:40.
+Signature CandidateHitSig() {
+  return Sig2(ChainStack("hit.A", 3, F("hit.A", "sync", 30)),
+              ChainStack("hit.A", 3, F("hit.A", "in", 31)),
+              ChainStack("hit.B", 3, F("hit.B", "sync", 40)),
+              ChainStack("hit.B", 3, F("hit.B", "in", 41)));
+}
+
+TEST(FastPathTest, CandidateHitWithEmptyPeersStaysOnFastPath) {
   VirtualClock clock;
   DimmunixRuntime rt(clock, ModeOptions(RuntimeMode::kFastPath));
-  // Signature whose outer top frame IS the acquiring site.
-  rt.AddSignature(Sig2(ChainStack("hit.A", 3, F("hit.A", "sync", 30)),
-                       ChainStack("hit.A", 3, F("hit.A", "in", 31)),
-                       ChainStack("hit.B", 3, F("hit.B", "sync", 40)),
-                       ChainStack("hit.B", 3, F("hit.B", "in", 41))),
-                  SignatureOrigin::kRemote);
+  rt.AddSignature(CandidateHitSig(), SignatureOrigin::kRemote);
   auto& ctx = rt.AttachThread("t");
   Monitor m;
   ScopedFrame f0(ctx, "hit.A", "m0", 1);
   ScopedFrame f1(ctx, "hit.A", "m1", 2);
   ScopedFrame top(ctx, "hit.A", "sync", 30);
-  ASSERT_TRUE(rt.Acquire(ctx, m).ok());  // no occupants: grant, but slowly
+  ASSERT_TRUE(rt.Acquire(ctx, m).ok());  // no peer occupied: skip the scan
   rt.Release(ctx, m);
   rt.DetachThread(ctx);
   const auto stats = rt.GetStats();
-  EXPECT_EQ(stats.slow_path_entries, 1u);
-  EXPECT_EQ(stats.fast_path_acquisitions, 0u);
+  EXPECT_EQ(stats.slow_path_entries, 0u);
+  EXPECT_EQ(stats.scans_skipped, 1u);
+  EXPECT_EQ(stats.instantiation_scans, 0u);
+  EXPECT_EQ(stats.fast_path_acquisitions, 1u);
+}
+
+TEST(FastPathTest, CandidateHitWithOccupiedPeerRoutesToSlowPath) {
+  VirtualClock clock;
+  DimmunixRuntime rt(clock, ModeOptions(RuntimeMode::kFastPath));
+  rt.AddSignature(CandidateHitSig(), SignatureOrigin::kRemote);
+
+  // The occupant holds a monitor at the peer's top frame, under a stack
+  // whose lower frames differ: it fills the peer bucket without
+  // matching the peer position, so the scan runs and finds nothing.
+  auto& occupant = rt.AttachThread("occupant");
+  Monitor held;
+  ScopedFrame o0(occupant, "hit.Other", "run", 7);
+  ScopedFrame otop(occupant, "hit.B", "sync", 40);
+  ASSERT_TRUE(rt.Acquire(occupant, held).ok());
+  const auto before = rt.GetStats();
+
+  auto& ctx = rt.AttachThread("t");
+  Monitor m;
+  ScopedFrame f0(ctx, "hit.A", "m0", 1);
+  ScopedFrame f1(ctx, "hit.A", "m1", 2);
+  ScopedFrame top(ctx, "hit.A", "sync", 30);
+  ASSERT_TRUE(rt.Acquire(ctx, m).ok());  // peer bucket occupied: scan
+  const auto after = rt.GetStats();
+  rt.Release(ctx, m);
+  rt.Release(occupant, held);
+  rt.DetachThread(ctx);
+  rt.DetachThread(occupant);
+
+  EXPECT_EQ(after.slow_path_entries - before.slow_path_entries, 1u);
+  EXPECT_EQ(after.instantiation_scans - before.instantiation_scans, 1u);
+  EXPECT_EQ(after.scans_skipped - before.scans_skipped, 0u);
+  EXPECT_EQ(after.fast_path_acquisitions - before.fast_path_acquisitions,
+            0u);
+  EXPECT_EQ(after.avoidance_suspensions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,6 +471,103 @@ TEST(FastPathStressTest, ConcurrentFastPathVsIndexRepublish) {
   EXPECT_GT(stats.index_republishes, 0u);
   // Every attach/detach churn cycle left a reapable tombstone.
   EXPECT_LE(rt.ThreadRecordCount(), static_cast<std::size_t>(kWorkers) + 2);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrency stress: fast and slow adaptive gates racing on one ABBA
+// signature (TSAN target). Threads take private and shared monitors at
+// both of the signature's sites, sometimes nested (private, then
+// shared), so gates read zero and non-zero peers, retract, suspend and
+// hit yield cycles concurrently. Every zero read is verified at sample
+// 1; at sample 3 most of them commit on the fast path instead. Any gate
+// that admitted past the scan shows as a mismatch, and any
+// mutual-exclusion failure as a lost entry-counter update.
+// ---------------------------------------------------------------------------
+
+TEST(FastPathStressTest, AdaptiveGateRacesAgreeWithVerificationScans) {
+  // Site i's stack is "gr.<i> m0:1 / gr.<i> sync:<line>".
+  const char* const kClass[] = {"gr.X", "gr.Y"};
+  const std::uint32_t kLine[] = {10, 20};
+  const Signature sig = Sig2(ChainStack("gr.X", 2, F("gr.X", "sync", 10)),
+                             ChainStack("gr.X", 2, F("gr.X", "in", 11)),
+                             ChainStack("gr.Y", 2, F("gr.Y", "sync", 20)),
+                             ChainStack("gr.Y", 2, F("gr.Y", "in", 21)));
+  constexpr int kWorkers = 4;
+  constexpr int kIters = 3000;
+  constexpr std::size_t kShared = 2;
+  for (const std::uint32_t sample : {1u, 3u}) {
+    VirtualClock clock;
+    DimmunixRuntime::Options opts = ModeOptions(RuntimeMode::kFastPath);
+    opts.adaptive_verify_sample = sample;
+    DimmunixRuntime rt(clock, opts);
+    rt.AddSignature(sig, SignatureOrigin::kRemote);
+
+    // Monitor i's entry counter is bumped with a plain load + store
+    // inside its critical section: a second owner loses an update.
+    constexpr std::size_t kMonitors = kWorkers + kShared;
+    std::vector<std::unique_ptr<Monitor>> monitors;
+    for (std::size_t i = 0; i < kMonitors; ++i) {
+      monitors.push_back(std::make_unique<Monitor>());
+    }
+    std::vector<std::atomic<std::uint64_t>> entries(kMonitors);
+    std::vector<std::vector<std::uint64_t>> expected(
+        kWorkers, std::vector<std::uint64_t>(kMonitors, 0));
+    auto enter = [&](ThreadContext& ctx, std::size_t i, std::size_t t) {
+      if (!rt.Acquire(ctx, *monitors[i]).ok()) return false;
+      entries[i].store(entries[i].load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+      ++expected[t][i];
+      std::this_thread::yield();  // widen the window peers race into
+      return true;
+    };
+
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWorkers; ++t) {
+      threads.emplace_back([&, t] {
+        const auto tt = static_cast<std::size_t>(t);
+        Rng rng(0x6A7E + static_cast<std::uint64_t>(t) * 17 + sample);
+        auto& ctx = rt.AttachThread("gr" + std::to_string(t));
+        ready.fetch_add(1);
+        while (ready.load() < kWorkers) std::this_thread::yield();
+        for (int i = 0; i < kIters; ++i) {
+          const std::size_t at = rng.NextBounded(2);
+          const std::size_t mon =
+              rng.NextBool(0.5) ? tt : kWorkers + rng.NextBounded(kShared);
+          ScopedFrame base(ctx, kClass[at], "m0", 1);
+          ScopedFrame site(ctx, kClass[at], "sync", kLine[at]);
+          ASSERT_TRUE(enter(ctx, mon, tt));
+          if (mon == tt && rng.NextBool(0.3)) {
+            // Nested: private, then shared at the other site.
+            ScopedFrame inner_base(ctx, kClass[1 - at], "m0", 1);
+            ScopedFrame inner(ctx, kClass[1 - at], "sync", kLine[1 - at]);
+            const std::size_t sh = kWorkers + rng.NextBounded(kShared);
+            ASSERT_TRUE(enter(ctx, sh, tt));
+            rt.Release(ctx, *monitors[sh]);
+          }
+          rt.Release(ctx, *monitors[mon]);
+        }
+        rt.DetachThread(ctx);
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    for (std::size_t i = 0; i < kMonitors; ++i) {
+      std::uint64_t want = 0;
+      for (int t = 0; t < kWorkers; ++t) want += expected[t][i];
+      EXPECT_EQ(entries[i].load(), want) << "monitor " << i << " sample "
+                                         << sample;
+    }
+    const auto stats = rt.GetStats();
+    EXPECT_EQ(stats.adaptive_gate_mismatches, 0u) << "sample " << sample;
+    EXPECT_EQ(stats.deadlocks_detected, 0u) << "sample " << sample;
+    EXPECT_GT(stats.sampled_verification_scans, 0u) << "sample " << sample;
+    if (sample == 1) {
+      EXPECT_EQ(stats.scans_skipped, 0u) << "every zero read is verified";
+    } else {
+      EXPECT_GT(stats.scans_skipped, 0u) << "no gate ever skipped";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

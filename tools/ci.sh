@@ -35,8 +35,8 @@
 # --tsan: ThreadSanitizer build (separate build-tsan dir) running the
 # dimmunix + util + cluster test binaries — the concurrency-bearing
 # layers of the client runtime (fast-path publication protocol, direct
-# monitor handoff + wake turnstile, adaptive occupancy gate, schedule
-# harness, thread pool) and of the replication tier (feed reads racing
+# monitor handoff + wake turnstile, adaptive occupancy gate on both
+# paths, schedule harness, thread pool) and of the replication tier (feed reads racing
 # ADDs, background shipper) — with a repeated run of the fairness and
 # wakeup-ordering suites on top.
 #
@@ -56,13 +56,15 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # whose libstdc++ lock-bit protocol TSAN cannot model.
   TSAN="halt_on_error=1"
   TSAN_OPTIONS="${TSAN}" ./build-tsan/dimmunix_tests
-  # Wake-path focus under TSAN: the direct-handoff fairness suite (strict
-  # no-barging protocol, wake-path stress, handoff x RCU-republish
-  # regression) and the wakeup-ordering harness scripts (two-sided
-  # suspension drains, hook-selected winners), repeated — the interesting
+  # Wake-path and gate focus under TSAN: the direct-handoff fairness
+  # suite (strict no-barging protocol, wake-path stress, handoff x
+  # RCU-republish regression), the wakeup-ordering harness scripts
+  # (two-sided suspension drains, hook-selected winners), and the
+  # adaptive gate's races (fast and slow gates interleaved step by step,
+  # and the 4-thread gate stress), repeated — the interesting
   # interleavings are rare in a single pass.
   TSAN_OPTIONS="${TSAN}" ./build-tsan/dimmunix_tests \
-      --gtest_filter='FairnessTest.*:ScheduleHarnessTest.TwoSidedSuspensionRacesAreDeterministic:ScheduleHarnessTest.MultiWaiterHandoffDrainsInFifoOrder:ScheduleHarnessTest.WakeupOrderingHookControlsWhichWaiterWins' \
+      --gtest_filter='FairnessTest.*:ScheduleHarnessTest.TwoSidedSuspensionRacesAreDeterministic:ScheduleHarnessTest.MultiWaiterHandoffDrainsInFifoOrder:ScheduleHarnessTest.WakeupOrderingHookControlsWhichWaiterWins:GateRaceTest.*:FastPathStressTest.AdaptiveGateRacesAgreeWithVerificationScans' \
       --gtest_repeat=5
   TSAN_OPTIONS="${TSAN}" ./build-tsan/util_tests
   # Store-tier smoke under TSAN: concurrent ReadSince (2Q cache + RCU log
@@ -134,7 +136,8 @@ echo "ci: net smoke passed (slow-client containment, framing, zero-copy replies,
 # one follower) scraped over the kStats wire verb with the communix_stats
 # CLI — key counters from the runtime/serving/net tiers must be non-zero,
 # and the replication ledger must agree across the two processes
-# (follower entries_applied == primary entries_shipped).
+# (follower entries_applied == primary entries_shipped > 0, after one
+# uploaded ADD).
 OBS_DIR="$(mktemp -d)"
 OBS_PIDS=""
 obs_cleanup() {
@@ -168,9 +171,14 @@ OBS_PIDS="${OBS_PIDS} $!"
 obs_wait_port "${OBS_DIR}/primary.log"
 OBS_PPORT="${OBS_PORT}"
 
-# One real client poll so the serving tier has traffic to account for.
+# Traffic for every tier to account for: quickstart learns a deadlock
+# signature and saves it to its history file; the client daemon uploads
+# it to the primary as an ADD (which the shipper carries to the
+# follower), then makes one real GET poll.
+./build/quickstart > "${OBS_DIR}/quickstart.log"
 ./build/communix_client --host 127.0.0.1 --port "${OBS_PPORT}" \
-    --repo "${OBS_DIR}/repo.db" --once
+    --repo "${OBS_DIR}/repo.db" --once \
+    --upload /tmp/communix_quickstart_history.bin
 
 obs_get() { ./build/communix_stats "127.0.0.1:$1" --get "$2"; }
 obs_nonzero() {
@@ -185,8 +193,19 @@ obs_nonzero "${OBS_PPORT}" dimmunix.acquisitions   # runtime self-check
 obs_nonzero "${OBS_PPORT}" server.gets_served      # the client poll
 obs_nonzero "${OBS_PPORT}" net.writev_flushes      # replies flushed
 obs_nonzero "${OBS_FPORT}" dimmunix.acquisitions
-SHIPPED="$(obs_get "${OBS_PPORT}" cluster.shipper.entries_shipped)"
-APPLIED="$(obs_get "${OBS_FPORT}" server.repl_entries_applied)"
+# The replication ledger: wait (bounded) for the shipper to carry the
+# ADD over, then require that something was shipped and all of it
+# applied.
+for _ in $(seq 1 100); do
+  SHIPPED="$(obs_get "${OBS_PPORT}" cluster.shipper.entries_shipped)"
+  APPLIED="$(obs_get "${OBS_FPORT}" server.repl_entries_applied)"
+  [[ "${SHIPPED:-0}" -gt 0 && "${SHIPPED}" == "${APPLIED}" ]] && break
+  sleep 0.1
+done
+if [[ -z "${SHIPPED}" || "${SHIPPED}" -eq 0 ]]; then
+  echo "ci: primary shipped no entries (the uploaded ADD never left it)"
+  exit 1
+fi
 if [[ "${SHIPPED}" != "${APPLIED}" ]]; then
   echo "ci: replication ledger split: primary shipped ${SHIPPED}," \
        "follower applied ${APPLIED}"

@@ -5,7 +5,12 @@
 // machine inspect at application start.
 //
 //   communix_client [--host H] [--port N] [--repo PATH]
-//                   [--period-seconds S] [--once]
+//                   [--period-seconds S] [--once] [--upload HISTORY]
+//
+// --upload first sends every signature of a Dimmunix history file (e.g.
+// the one examples/quickstart saves) to the server as ADDs, under a token
+// the server issues for user id 1 — a way to feed a deployment from the
+// shell.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -13,13 +18,58 @@
 #include <filesystem>
 
 #include "communix/client.hpp"
+#include "dimmunix/history.hpp"
 #include "net/tcp.hpp"
+#include "util/serde.hpp"
 #include "util/clock.hpp"
 #include "util/logging.hpp"
 
 namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
+
+/// Sends every signature of the history at `path` as an ADD; returns the
+/// number the server accepted, or -1 if nothing could be sent.
+int UploadHistory(const std::string& host, std::uint16_t port,
+                  const std::string& path) {
+  namespace net = communix::net;
+  auto history = communix::dimmunix::History::LoadFromFile(path);
+  if (!history.ok()) {
+    std::fprintf(stderr, "failed to load %s: %s\n", path.c_str(),
+                 history.status().ToString().c_str());
+    return -1;
+  }
+  net::TcpClient transport;
+  if (auto s = transport.Connect(host, port); !s.ok()) {
+    std::fprintf(stderr, "connect failed: %s\n", s.ToString().c_str());
+    return -1;
+  }
+  communix::BinaryWriter iw;
+  iw.WriteU64(1);
+  net::Request issue;
+  issue.type = net::MsgType::kIssueId;
+  issue.payload = iw.take();
+  auto token = transport.Call(issue);
+  if (!token.ok() || !token.value().ok()) {
+    std::fprintf(stderr, "token request failed\n");
+    return -1;
+  }
+  int accepted = 0;
+  for (const auto& rec : history.value().records()) {
+    communix::BinaryWriter w;
+    w.WriteRaw(std::span<const std::uint8_t>(token.value().payload.data(),
+                                             token.value().payload.size()));
+    rec.sig.Serialize(w);
+    net::Request add;
+    add.type = net::MsgType::kAddSignature;
+    add.payload = w.take();
+    auto reply = transport.Call(add);
+    if (reply.ok() && reply.value().ok()) ++accepted;
+  }
+  std::printf("uploaded %d/%zu signature(s) from %s\n", accepted,
+              history.value().size(), path.c_str());
+  return accepted;
+}
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -28,6 +78,7 @@ int main(int argc, char** argv) {
   std::string repo_path = "communix_repo.db";
   long period_seconds = 86'400;  // the paper's once-a-day default
   bool once = false;
+  std::string upload_path;
 
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) {
@@ -47,13 +98,18 @@ int main(int argc, char** argv) {
       period_seconds = std::atol(need_value("--period-seconds"));
     } else if (std::strcmp(argv[i], "--once") == 0) {
       once = true;
+    } else if (std::strcmp(argv[i], "--upload") == 0) {
+      upload_path = need_value("--upload");
     } else {
       std::fprintf(stderr,
                    "usage: %s [--host H] [--port N] [--repo PATH] "
-                   "[--period-seconds S] [--once]\n",
+                   "[--period-seconds S] [--once] [--upload HISTORY]\n",
                    argv[0]);
       return 2;
     }
+  }
+  if (!upload_path.empty() && UploadHistory(host, port, upload_path) < 0) {
+    return 1;
   }
 
   communix::SetLogLevel(communix::LogLevel::kInfo);
