@@ -168,17 +168,15 @@ void RunModeComparison(bool smoke, communix::bench::BenchJson& json) {
 // (first position on the critical path, second position off it) make
 // every acquisition a candidate hit whose instantiation scan must come
 // back empty — the worst case for an immunized-but-idle site. The
-// adaptive gate should skip those scans entirely; the section also
-// reports the index delta-rebuild counters from the signature installs.
+// adaptive gate should skip those scans entirely.
 // ---------------------------------------------------------------------------
 
 void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
   communix::bench::PrintHeader(
       "Adaptive avoidance: candidate-miss workload (one-sided signatures, "
       "scan-skip gate)");
-  std::printf("%-12s %-9s %12s %10s %12s %12s %12s %12s\n", "app", "adaptive",
-              "acquire ns", "seconds", "scans skip", "scans run",
-              "delta rb", "entries reuse");
+  std::printf("%-12s %-9s %12s %10s %12s %12s\n", "app", "adaptive",
+              "acquire ns", "seconds", "scans skip", "scans run");
   for (const auto& row : communix::sim::TableIIProfiles()) {
     const auto app = communix::bytecode::GenerateApp(row.app_spec);
     communix::sim::ContendedConfig config = row.workload;
@@ -222,13 +220,11 @@ void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
       PairLatency latency;
       const auto result = workload.Run(runtime, &latency);
       const auto& s = result.stats;
-      std::printf("%-12s %-9s %12.0f %10.3f %12llu %12llu %12llu %12llu\n",
+      std::printf("%-12s %-9s %12.0f %10.3f %12llu %12llu\n",
                   row.app_name.c_str(), adaptive ? "on" : "off",
                   latency.acquire.MeanNanos(), result.seconds,
                   static_cast<unsigned long long>(s.scans_skipped),
-                  static_cast<unsigned long long>(s.instantiation_scans),
-                  static_cast<unsigned long long>(s.index_delta_rebuilds),
-                  static_cast<unsigned long long>(s.index_entries_reused));
+                  static_cast<unsigned long long>(s.instantiation_scans));
       json.AddRow(
           "adaptive:" + row.app_name,
           {{"adaptive", adaptive ? 1.0 : 0.0},
@@ -241,12 +237,6 @@ void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
             static_cast<double>(s.sampled_verification_scans)},
            {"adaptive_gate_mismatches",
             static_cast<double>(s.adaptive_gate_mismatches)},
-           {"index_delta_rebuilds",
-            static_cast<double>(s.index_delta_rebuilds)},
-           {"index_full_rebuilds",
-            static_cast<double>(s.index_full_rebuilds)},
-           {"index_entries_reused",
-            static_cast<double>(s.index_entries_reused)},
            {"avoidance_suspensions",
             static_cast<double>(s.avoidance_suspensions)},
            {"slow_path_entries", static_cast<double>(s.slow_path_entries)}});
@@ -255,10 +245,8 @@ void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
   std::printf(
       "\nWith the gate on, candidate-hit sites whose peer positions are\n"
       "never occupied skip the instantiation scan (scans skip > 0, scans\n"
-      "run ~ 0); the %zu signature installs republish the index via delta\n"
-      "rebuilds (entries reused, no signature deep copies). Decisions are\n"
-      "identical either way — see the schedule-harness equivalence test.\n",
-      kSignatures);
+      "run ~ 0). Decisions are identical either way — see the\n"
+      "schedule-harness equivalence test.\n");
 }
 
 }  // namespace

@@ -40,10 +40,8 @@ void CommunixAgent::RebuildNestedKeySet() {
   }
 }
 
-bool CommunixAgent::TrimStackToMatchingSuffix(CallStack& stack) const {
+std::size_t CommunixAgent::MatchingSuffixDepth(const CallStack& stack) const {
   const auto& frames = stack.frames();
-  if (frames.empty()) return false;
-
   // Walk from the top frame downwards; stop at the first mismatch.
   std::size_t matched = 0;
   for (std::size_t i = frames.size(); i-- > 0;) {
@@ -53,9 +51,7 @@ bool CommunixAgent::TrimStackToMatchingSuffix(CallStack& stack) const {
     if (!app_hash || *app_hash != *f.class_hash) break;
     ++matched;
   }
-  if (matched == 0) return false;  // top frame mismatch => reject
-  stack.TrimToDepth(matched);
-  return true;
+  return matched;
 }
 
 bool CommunixAgent::OuterTopsAreNested(const Signature& sig) const {
@@ -72,17 +68,29 @@ CommunixAgent::Verdict CommunixAgent::ValidateAndTrim(Signature& sig) const {
   if (sig.empty() || sig.num_threads() < 2) return Verdict::kRejectedMalformed;
 
   if (options_.hash_check_enabled) {
-    std::vector<dimmunix::SignatureEntry> entries = sig.entries();
-    for (auto& e : entries) {
-      // Outer *and* inner stacks are hash-checked: the code between the
-      // outer and inner lock statements may have been fixed in this
-      // version (§III-C3).
-      if (!TrimStackToMatchingSuffix(e.outer) ||
-          !TrimStackToMatchingSuffix(e.inner)) {
-        return Verdict::kRejectedHash;
+    // Outer *and* inner stacks are hash-checked: the code between the
+    // outer and inner lock statements may have been fixed in this version
+    // (§III-C3). Each stack keeps its longest hash-matching suffix; a top
+    // frame mismatch rejects before anything is copied.
+    std::vector<std::size_t> depths;  // outer, inner of each entry
+    depths.reserve(2 * sig.num_threads());
+    bool trim = false;
+    for (const auto& e : sig.entries()) {
+      for (const CallStack* stack : {&e.outer, &e.inner}) {
+        const std::size_t depth = MatchingSuffixDepth(*stack);
+        if (depth == 0) return Verdict::kRejectedHash;
+        trim = trim || depth < stack->depth();
+        depths.push_back(depth);
       }
     }
-    sig = Signature(std::move(entries));
+    if (trim) {
+      auto entries = std::move(sig).TakeEntries();
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        entries[i].outer.TrimToDepth(depths[2 * i]);
+        entries[i].inner.TrimToDepth(depths[2 * i + 1]);
+      }
+      sig = Signature(std::move(entries));
+    }
   }
 
   if (options_.depth_check_enabled &&
@@ -96,47 +104,36 @@ CommunixAgent::Verdict CommunixAgent::ValidateAndTrim(Signature& sig) const {
   return Verdict::kValid;
 }
 
-bool CommunixAgent::Generalize(const Signature& sig) {
-  ScanReport report;
-  InstallBatch({sig}, &report);
-  return report.merged > 0;
-}
-
 void CommunixAgent::InstallBatch(std::vector<Signature> sigs,
                                  ScanReport* report) {
   if (sigs.empty()) return;
   // One WithHistory call = one index republish: the runtime re-publishes
   // its avoidance index when this returns, so a startup scan of N
-  // signatures costs one republish instead of N — and that republish is
-  // a *delta* rebuild: it still walks the history to renumber the index
-  // structure, but previously-indexed signatures are shared rather than
-  // deep-copied, eliding the stack/string payload copies that dominate
-  // a full build.
+  // signatures costs one republish instead of N. Each signature's content
+  // id is hashed once (by History::Add or Replace) and the index shares
+  // the history's signature payloads, so the republish copies pointers.
   runtime_.WithHistory([&](dimmunix::History& history) {
     for (Signature& sig : sigs) {
       bool merged = false;
       for (std::size_t idx : history.FindByBugKey(sig.BugKey())) {
-        const auto& rec = history.record(idx);
         // Merge rule (§III-D): only local+local merges may go below depth
         // 5; every signature the agent installs is remote, so the result
         // must keep outer depth >= min_outer_depth — an attacker cannot
         // exploit generalization to shear stacks down to the top frames.
         // (Local/local merging happens in Dimmunix itself, not here.)
-        (void)rec.origin;
-        auto result = Signature::Merge(rec.sig, sig, options_.min_outer_depth);
+        auto result = Signature::Merge(history.record(idx).sig, sig,
+                                       options_.min_outer_depth);
         if (result) {
           history.Replace(idx, std::move(*result));
           merged = true;
           break;
         }
       }
-      if (!merged) {
-        history.Add(std::move(sig), SignatureOrigin::kRemote,
-                    runtime_.clock().Now());
-      }
       if (merged) {
         ++report->merged;
       } else {
+        history.Add(std::move(sig), SignatureOrigin::kRemote,
+                    runtime_.clock().Now());
         ++report->added;
       }
     }

@@ -99,15 +99,11 @@ class CommunixAgent {
  private:
   ScanReport ProcessState(SigState state);
 
-  /// Keeps the longest hash-matching suffix of `stack`; false => top
-  /// frame mismatched (reject).
-  bool TrimStackToMatchingSuffix(dimmunix::CallStack& stack) const;
+  /// Depth of the longest hash-matching suffix of `stack`; 0 => top frame
+  /// mismatched (reject).
+  std::size_t MatchingSuffixDepth(const dimmunix::CallStack& stack) const;
 
   bool OuterTopsAreNested(const dimmunix::Signature& sig) const;
-
-  /// Installs a validated signature: merge per §III-D or add.
-  /// Returns true if merged, false if added as new.
-  bool Generalize(const dimmunix::Signature& sig);
 
   /// Installs a batch of validated signatures under ONE runtime history
   /// mutation (one avoidance-index republish), counting merges/adds into

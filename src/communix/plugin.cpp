@@ -22,8 +22,8 @@ CommunixPlugin::CommunixPlugin(dimmunix::DimmunixRuntime& runtime,
 bool CommunixPlugin::SyncHistory() {
   if (options_.history_path.empty()) return false;
   // Version-gated: the history version counts every runtime mutation
-  // (each one now a delta index rebuild), so an unchanged version skips
-  // both the runtime lock and the deep copy.
+  // (each one an index rebuild), so an unchanged version skips both the
+  // runtime lock and the copy.
   auto snapshot = runtime_.SnapshotHistoryIfChanged(&last_synced_version_);
   if (!snapshot) {
     Bump(&Stats::history_syncs_skipped);

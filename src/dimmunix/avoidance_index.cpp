@@ -38,59 +38,25 @@ std::size_t CountCandidateKeys(const History& history) {
 std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::Build(
     const History& history, std::uint64_t version,
     std::size_t occupancy_buckets) {
-  return BuildInternal(history, version, nullptr, occupancy_buckets);
-}
-
-std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::Rebuild(
-    const AvoidanceIndex& prev, const History& history,
-    std::uint64_t version, std::size_t occupancy_buckets) {
-  return BuildInternal(history, version, &prev, occupancy_buckets);
-}
-
-std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::BuildInternal(
-    const History& history, std::uint64_t version,
-    const AvoidanceIndex* prev, std::size_t occupancy_buckets) {
   auto index = std::shared_ptr<AvoidanceIndex>(new AvoidanceIndex());
   index->version_ = version;
-  index->built_by_delta_ = prev != nullptr;
   index->entries_.reserve(history.size());
-
-  // Reuse map: content id -> previous snapshot's immutable entry.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const Entry>> reusable;
-  if (prev != nullptr) {
-    reusable.reserve(prev->entries_.size());
-    for (const auto& e : prev->entries_) reusable.emplace(e->content_id, e);
-  }
-
   for (const SignatureRecord& rec : history.records()) {
     if (rec.disabled) continue;
     const auto ordinal = static_cast<std::uint32_t>(index->entries_.size());
-    std::shared_ptr<const Entry> entry;
-    if (prev != nullptr) {
-      auto it = reusable.find(rec.sig.ContentId());
-      if (it != reusable.end()) {
-        entry = it->second;
-        ++index->entries_reused_;
-      }
-    }
-    if (entry == nullptr) {
-      entry = std::make_shared<const Entry>(
-          Entry{rec.sig, rec.sig.ContentId()});
-      ++index->entries_copied_;
-    }
-    const auto& entries = entry->sig.entries();
+    const auto& entries = rec.sig.entries();
     for (std::size_t pos = 0; pos < entries.size(); ++pos) {
       KeySlot& slot = index->by_outer_top_[entries[pos].outer.TopKey()];
       slot.candidates.push_back(
           Candidate{ordinal, static_cast<std::uint32_t>(pos)});
     }
-    index->entries_.push_back(std::move(entry));
+    index->entries_.push_back(Entry{rec.sig, rec.sig.ContentId()});
   }
 
   // Per-key adaptive state: the peer buckets the gate reads.
   for (auto& [key, slot] : index->by_outer_top_) {
     for (const Candidate& cand : slot.candidates) {
-      const auto& sig_entries = index->entries_[cand.ordinal]->sig.entries();
+      const auto& sig_entries = index->entries_[cand.ordinal].sig.entries();
       for (std::size_t j = 0; j < sig_entries.size(); ++j) {
         if (j == cand.position) continue;
         slot.peer_buckets.push_back(OccupancyTable::BucketOf(

@@ -1,4 +1,4 @@
-// Adaptive, incrementally-maintained avoidance index.
+// Adaptive avoidance index.
 //
 // The avoidance decision in DimmunixRuntime::Acquire needs one question
 // answered on *every* lock acquisition: "could this call stack's top
@@ -12,20 +12,10 @@
 // whose outer stack ends at that lock statement. A snapshot is immutable
 // after construction; the runtime publishes it as a shared_ptr plus a
 // sequence word, and each thread reads its own cached copy until the
-// word moves, so readers never block. Two additions over the original
-// design:
-//
-//  * Delta rebuilds. Writers no longer deep-copy every signature on each
-//    mutation: Rebuild(prev, history) reuses the previous snapshot's
-//    immutable Entry objects (shared_ptr) for records whose content is
-//    unchanged and copies only the mutated ones, renumbering ordinals.
-//    (The rebuild still walks the history to regenerate the candidate
-//    map and per-key metadata — O(index structure) pointer-level work;
-//    what the delta elides is the signature payload copies, the
-//    dominant cost of a full build.) The runtime interleaves a periodic
-//    full Build as a safety net; a property test asserts delta and full
-//    builds are observationally identical over random mutation
-//    sequences.
+// word moves, so readers never block. Entries hold shared immutable
+// Signatures (signature.hpp), so a build copies one pointer per enabled
+// record and reads its cached content id; it does not copy stacks or
+// re-serialize signatures. One addition over the original design:
 //
 //  * Adaptive per-key state. Each key slot carries the deduplicated
 //    occupancy buckets of its *peer* positions (the top-frame keys of
@@ -168,9 +158,8 @@ class AvoidanceIndex {
     std::uint32_t position;
   };
 
-  /// Immutable signature copy shared between successive delta-rebuilt
-  /// snapshots (the index must not dangle when History::Replace
-  /// reallocates records, and delta rebuilds must not re-copy it).
+  /// An indexed signature. It shares the history record's payload, so it
+  /// stays valid when History::Replace or reallocation moves records.
   struct Entry {
     Signature sig;
     std::uint64_t content_id = 0;
@@ -191,15 +180,6 @@ class AvoidanceIndex {
       const History& history, std::uint64_t version,
       std::size_t occupancy_buckets = OccupancyTable::kDefaultBuckets);
 
-  /// Delta rebuild: derives the next snapshot from `prev` plus whatever
-  /// mutation `history` now reflects. Entries whose content id survived
-  /// are reused (no signature deep copy). Observationally identical to
-  /// Build(history, version).
-  static std::shared_ptr<const AvoidanceIndex> Rebuild(
-      const AvoidanceIndex& prev, const History& history,
-      std::uint64_t version,
-      std::size_t occupancy_buckets = OccupancyTable::kDefaultBuckets);
-
   /// Candidates whose outer top frame key is `top_key`; nullptr if none.
   const std::vector<Candidate>* CandidatesForTopFrame(
       std::uint64_t top_key) const {
@@ -215,16 +195,11 @@ class AvoidanceIndex {
     return &it->second;
   }
 
-  const Entry& entry(std::size_t ordinal) const { return *entries_[ordinal]; }
+  const Entry& entry(std::size_t ordinal) const { return entries_[ordinal]; }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   /// History version this snapshot reflects.
   std::uint64_t version() const { return version_; }
-
-  /// Delta-rebuild provenance (full builds report 0 reused).
-  bool built_by_delta() const { return built_by_delta_; }
-  std::size_t entries_reused() const { return entries_reused_; }
-  std::size_t entries_copied() const { return entries_copied_; }
 
   /// Distinct top-frame keys in the index (candidate-key count — the
   /// input to OccupancyTable::RecommendedBuckets).
@@ -238,16 +213,9 @@ class AvoidanceIndex {
  private:
   AvoidanceIndex() = default;
 
-  static std::shared_ptr<const AvoidanceIndex> BuildInternal(
-      const History& history, std::uint64_t version,
-      const AvoidanceIndex* prev, std::size_t occupancy_buckets);
-
-  std::vector<std::shared_ptr<const Entry>> entries_;
+  std::vector<Entry> entries_;
   std::unordered_map<std::uint64_t, KeySlot> by_outer_top_;
   std::uint64_t version_ = 0;
-  bool built_by_delta_ = false;
-  std::size_t entries_reused_ = 0;
-  std::size_t entries_copied_ = 0;
   std::size_t key_bucket_collisions_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "dimmunix/history.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,13 +16,23 @@ int History::Add(Signature sig, SignatureOrigin origin, TimePoint now) {
   const std::uint64_t content = sig.ContentId();
   if (by_content_.count(content) > 0) return -1;
   const std::size_t index = records_.size();
+  by_bug_key_[sig.BugKey()].push_back(index);
   records_.push_back(SignatureRecord{std::move(sig), origin, false, now});
   by_content_.emplace(content, index);
   return static_cast<int>(index);
 }
 
 void History::Replace(std::size_t index, Signature sig) {
-  const std::uint64_t old_content = records_.at(index).sig.ContentId();
+  const Signature& old = records_.at(index).sig;
+  const std::uint64_t old_content = old.ContentId();
+  if (sig.BugKey() != old.BugKey()) {
+    auto it = by_bug_key_.find(old.BugKey());
+    std::erase(it->second, index);
+    if (it->second.empty()) by_bug_key_.erase(it);
+    auto& moved_to = by_bug_key_[sig.BugKey()];
+    moved_to.insert(std::lower_bound(moved_to.begin(), moved_to.end(), index),
+                    index);
+  }
   by_content_.erase(old_content);
   records_[index].sig = std::move(sig);
   const std::uint64_t new_content = records_[index].sig.ContentId();
@@ -58,12 +69,14 @@ std::vector<std::uint64_t> History::TakeRetiredContentIds() {
   return out;
 }
 
+const SignatureRecord* History::Find(std::uint64_t content_id) const {
+  auto it = by_content_.find(content_id);
+  return it == by_content_.end() ? nullptr : &records_[it->second];
+}
+
 std::vector<std::size_t> History::FindByBugKey(std::uint64_t bug_key) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (records_[i].sig.BugKey() == bug_key) out.push_back(i);
-  }
-  return out;
+  auto it = by_bug_key_.find(bug_key);
+  return it == by_bug_key_.end() ? std::vector<std::size_t>{} : it->second;
 }
 
 Status History::SaveToFile(const std::string& path) const {

@@ -10,9 +10,9 @@
 // startup before workload threads exist (mirroring the paper's design).
 //
 // The candidates-by-top-frame projection the avoidance hot path consults
-// lives in AvoidanceIndex (an immutable snapshot delta-rebuilt per
-// mutation), not here — History mutations are O(1)-ish instead of
-// recopying an index per Disable/Replace.
+// lives in AvoidanceIndex (an immutable snapshot rebuilt per mutation),
+// not here. Records hold shared immutable Signatures, so copying a
+// history or indexing it copies pointers, not stacks.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +59,10 @@ class History {
   bool ContainsContent(std::uint64_t content_id) const {
     return by_content_.count(content_id) > 0;
   }
+  /// The record with this content id; nullptr if none.
+  const SignatureRecord* Find(std::uint64_t content_id) const;
 
-  /// Indexes of signatures with the given bug identity.
+  /// Indexes of signatures with the given bug identity, ascending.
   std::vector<std::size_t> FindByBugKey(std::uint64_t bug_key) const;
 
   /// Persistence: versioned binary file.
@@ -80,6 +82,8 @@ class History {
  private:
   std::vector<SignatureRecord> records_;
   std::unordered_map<std::uint64_t, std::size_t> by_content_;
+  /// Bug key -> record indexes, each list ascending.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_bug_key_;
   std::vector<std::uint64_t> retired_content_ids_;
 };
 

@@ -124,22 +124,8 @@ void DimmunixRuntime::RepublishIndexLocked() {
     if (want > occupancy_.bucket_count()) occupancy_.Resize(want);
   }
   const std::uint64_t version = history_version_.fetch_add(1) + 1;
-  const bool full = options_.full_rebuild_period == 0 ||
-                    ++republishes_since_full_ >= options_.full_rebuild_period;
-  std::shared_ptr<const AvoidanceIndex> next;
-  if (full) {
-    next = AvoidanceIndex::Build(history_, version, occupancy_.bucket_count());
-    republishes_since_full_ = 0;
-    global_counters_.index_full_rebuilds.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  } else {
-    next = AvoidanceIndex::Rebuild(*index_, history_, version,
-                                   occupancy_.bucket_count());
-    global_counters_.index_delta_rebuilds.fetch_add(1,
-                                                    std::memory_order_relaxed);
-    global_counters_.index_entries_reused.fetch_add(
-        next->entries_reused(), std::memory_order_relaxed);
-  }
+  auto next =
+      AvoidanceIndex::Build(history_, version, occupancy_.bucket_count());
   {
     std::lock_guard pub(index_mu_);
     index_ = std::move(next);
@@ -572,14 +558,9 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
           if (fp_detector_.RecordInstantiation(matched, clock_.Now())) {
             ctx.counters_.false_positives_flagged.fetch_add(
                 1, std::memory_order_relaxed);
-            // Locate the flagged signature for the warning callback.
-            for (const SignatureRecord& r : history_.records()) {
-              if (r.sig.ContentId() == matched) {
-                if (false_positive_cb_) {
-                  pending.emplace_back(false_positive_cb_, r.sig);
-                }
-                break;
-              }
+            const SignatureRecord* flagged = history_.Find(matched);
+            if (flagged != nullptr && false_positive_cb_) {
+              pending.emplace_back(false_positive_cb_, flagged->sig);
             }
             if (options_.auto_disable_false_positives) {
               history_.Disable(matched);

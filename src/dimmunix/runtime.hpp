@@ -37,9 +37,8 @@
 //    the snapshot and re-copies it (under a small publication mutex)
 //    only when the sequence word has moved, so a steady-state
 //    acquisition reads one shared word; a retired snapshot is freed once
-//    no thread's copy refers to it. Writers publish *delta* rebuilds
-//    derived from the previous snapshot (signature entries are shared,
-//    not re-copied) with a periodic full rebuild as a safety net.
+//    no thread's copy refers to it. A rebuild shares the history's
+//    immutable signature payloads, so it copies no stacks.
 //
 //    The index lookup gives one of two answers. If the captured stack's
 //    top frame has no candidates, the acquisition goes straight to the
@@ -178,10 +177,6 @@ class DimmunixRuntime {
     /// their bucket index, so resizing under them would corrupt the
     /// zero-read proof.
     std::size_t occupancy_buckets = 0;
-    /// Republishes are delta rebuilds (reusing the previous snapshot's
-    /// entries), with a from-scratch full rebuild every Nth as a safety
-    /// net for long delta chains (0 = always full).
-    std::uint32_t full_rebuild_period = 64;
     FpDetector::Options fp;
   };
 
@@ -357,10 +352,9 @@ class DimmunixRuntime {
                              const std::vector<CycleNode>& chain) const;
 
   /// Republishes the avoidance index after a history mutation and bumps
-  /// the history version. Must be called under mu_. Publishes a delta
-  /// rebuild derived from the previous snapshot (entries reused) except
-  /// every `full_rebuild_period`-th call, which runs the from-scratch
-  /// full build as a safety net.
+  /// the history version. Must be called under mu_. The build shares the
+  /// records' signature payloads and cached content ids, so it costs one
+  /// pointer copy per enabled record plus the candidate map.
   void RepublishIndexLocked();
 
   /// True iff the adaptive scan gate applies (fast-path mode only; the
@@ -475,8 +469,6 @@ class DimmunixRuntime {
   /// replacement. Fast acquirers only read it (see FastPathIndex).
   std::atomic<std::uint64_t> index_seq_{1};
   std::atomic<std::uint64_t> history_version_{0};
-  /// Republishes since the last full rebuild (guarded by mu_).
-  std::uint32_t republishes_since_full_ = 0;
 
   SignatureCallback new_signature_cb_;   // guarded by mu_ (invoked unlocked)
   SignatureCallback false_positive_cb_;  // guarded by mu_ (invoked unlocked)

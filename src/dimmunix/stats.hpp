@@ -68,14 +68,8 @@ struct RuntimeStatFields {
   /// claimed impossible. Always 0 unless the occupancy protocol is
   /// broken; the runtime fails safe (yields as the reference would).
   T adaptive_gate_mismatches{};
-  /// Times the avoidance index was rebuilt and re-published (total).
+  /// Times the avoidance index was rebuilt and re-published.
   T index_republishes{};
-  /// Republishes served by a delta rebuild (entries reused from the
-  /// previous snapshot) vs. a from-scratch full build.
-  T index_delta_rebuilds{};
-  T index_full_rebuilds{};
-  /// Signature entries delta rebuilds reused (not deep-copied).
-  T index_entries_reused{};
   /// Tombstoned thread contexts reclaimed.
   T threads_reaped{};
 
@@ -102,9 +96,6 @@ struct RuntimeStatFields {
     fn(kCounter, "sampled_verification_scans", s.sampled_verification_scans...);
     fn(kCounter, "adaptive_gate_mismatches", s.adaptive_gate_mismatches...);
     fn(kCounter, "index_republishes", s.index_republishes...);
-    fn(kCounter, "index_delta_rebuilds", s.index_delta_rebuilds...);
-    fn(kCounter, "index_full_rebuilds", s.index_full_rebuilds...);
-    fn(kCounter, "index_entries_reused", s.index_entries_reused...);
     fn(kCounter, "threads_reaped", s.threads_reaped...);
   }
 };

@@ -110,4 +110,11 @@ std::vector<std::uint8_t> BinaryReader::ReadRaw(std::size_t n) {
   return out;
 }
 
+bool BinaryReader::ReadInto(std::span<std::uint8_t> out) {
+  if (!Require(out.size())) return false;
+  if (!out.empty()) std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
+  return true;
+}
+
 }  // namespace communix

@@ -54,6 +54,9 @@ class BinaryReader {
   std::vector<std::uint8_t> ReadBytes();
   /// Reads exactly `n` raw bytes.
   std::vector<std::uint8_t> ReadRaw(std::size_t n);
+  /// Fills `out` with the next out.size() raw bytes; false (and `out`
+  /// untouched) if fewer remain.
+  bool ReadInto(std::span<std::uint8_t> out);
 
   bool ok() const { return ok_; }
   /// True when every byte has been consumed and no read failed.

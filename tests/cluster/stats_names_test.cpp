@@ -95,9 +95,7 @@ const std::vector<std::string> kRuntimeCounters = {
     "handoffs",               "barges_prevented",
     "instantiation_scans",    "scans_skipped",
     "sampled_verification_scans", "adaptive_gate_mismatches",
-    "index_republishes",      "index_delta_rebuilds",
-    "index_full_rebuilds",    "index_entries_reused",
-    "threads_reaped"};
+    "index_republishes",      "threads_reaped"};
 const std::vector<std::string> kRuntimeGauges = {"occupancy_buckets",
                                                  "occupancy_key_collisions"};
 const std::vector<std::string> kServerCounters = {
@@ -239,9 +237,6 @@ void ExpectRuntimeFields(const obs::MetricsSnapshot& snap,
       {"dimmunix.sampled_verification_scans", s.sampled_verification_scans},
       {"dimmunix.adaptive_gate_mismatches", s.adaptive_gate_mismatches},
       {"dimmunix.index_republishes", s.index_republishes},
-      {"dimmunix.index_delta_rebuilds", s.index_delta_rebuilds},
-      {"dimmunix.index_full_rebuilds", s.index_full_rebuilds},
-      {"dimmunix.index_entries_reused", s.index_entries_reused},
       {"dimmunix.threads_reaped", s.threads_reaped},
       {"dimmunix.occupancy_buckets", s.occupancy_buckets},
       {"dimmunix.occupancy_key_collisions", s.occupancy_key_collisions},

@@ -1,10 +1,13 @@
-// AvoidanceIndex delta-rebuild properties: a chain of Rebuild() calls
-// (one per history mutation) must stay observationally identical to a
-// from-scratch Build() after every step — the same candidates and the
-// same peer buckets per key — while actually reusing the previous
-// snapshot's entries.
+// AvoidanceIndex build property: after every step of a random
+// Add/Replace/Disable/ReEnable sequence, Build() equals a naive
+// projection of the history's enabled records — the same entries in
+// record order, the same candidates and the same peer buckets per key —
+// and every entry shares its record's signature payload instead of
+// copying it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -27,59 +30,95 @@ Signature MakeSig(std::uint32_t salt) {
               ChainStack("ai.B", 4, F("ai.B", "i", 2000 + salt)));
 }
 
-/// Candidate sets as (content_id, position) pairs — ordinals renumber
-/// across rebuilds, so identity must be compared by content.
-std::multiset<std::pair<std::uint64_t, std::uint32_t>> CandidateContents(
-    const AvoidanceIndex& index, std::uint64_t key) {
-  std::multiset<std::pair<std::uint64_t, std::uint32_t>> out;
-  const auto* cands = index.CandidatesForTopFrame(key);
-  if (cands == nullptr) return out;
-  for (const auto& c : *cands) {
-    out.emplace(index.entry(c.ordinal).content_id, c.position);
-  }
-  return out;
-}
+/// Per top-frame key: the (ordinal, position) candidates and the sorted,
+/// deduplicated peer buckets, computed record by record.
+struct Projection {
+  std::vector<const SignatureRecord*> entries;
+  std::map<std::uint64_t, std::vector<AvoidanceIndex::Candidate>> candidates;
+  std::map<std::uint64_t, std::vector<std::uint32_t>> peers;
+};
 
-std::vector<std::uint64_t> AllTopKeys(const History& h) {
-  std::set<std::uint64_t> keys;
+Projection Project(const History& h, std::size_t buckets) {
+  Projection p;
   for (const SignatureRecord& rec : h.records()) {
-    for (const auto& e : rec.sig.entries()) keys.insert(e.outer.TopKey());
-  }
-  keys.insert(0xDEADBEEF);  // a key no signature has
-  return {keys.begin(), keys.end()};
-}
-
-void ExpectObservationallyEqual(const AvoidanceIndex& full,
-                                const AvoidanceIndex& delta,
-                                const History& h, std::uint64_t step) {
-  EXPECT_EQ(full.size(), delta.size()) << "step " << step;
-  EXPECT_EQ(full.empty(), delta.empty()) << "step " << step;
-  EXPECT_EQ(full.version(), delta.version()) << "step " << step;
-  for (const std::uint64_t key : AllTopKeys(h)) {
-    EXPECT_EQ(CandidateContents(full, key), CandidateContents(delta, key))
-        << "step " << step << " key " << key;
-    const auto* fs = full.SlotForTopFrame(key);
-    const auto* ds = delta.SlotForTopFrame(key);
-    ASSERT_EQ(fs == nullptr, ds == nullptr) << "step " << step;
-    if (fs != nullptr) {
-      EXPECT_EQ(fs->peer_buckets, ds->peer_buckets) << "step " << step;
+    if (rec.disabled) continue;
+    const auto ordinal = static_cast<std::uint32_t>(p.entries.size());
+    p.entries.push_back(&rec);
+    const auto& es = rec.sig.entries();
+    for (std::uint32_t pos = 0; pos < es.size(); ++pos) {
+      const std::uint64_t key = es[pos].outer.TopKey();
+      p.candidates[key].push_back({ordinal, pos});
+      for (std::uint32_t j = 0; j < es.size(); ++j) {
+        if (j != pos) {
+          p.peers[key].push_back(
+              OccupancyTable::BucketOf(es[j].outer.TopKey(), buckets));
+        }
+      }
     }
   }
+  for (auto& [key, b] : p.peers) {
+    std::sort(b.begin(), b.end());
+    b.erase(std::unique(b.begin(), b.end()), b.end());
+  }
+  return p;
 }
 
-TEST(AvoidanceIndexTest, DeltaRebuildChainMatchesFullBuild) {
+void ExpectMatchesProjection(const AvoidanceIndex& index, const History& h,
+                             std::size_t buckets, std::uint64_t step) {
+  const Projection p = Project(h, buckets);
+  ASSERT_EQ(index.size(), p.entries.size()) << "step " << step;
+  EXPECT_EQ(index.version(), step);
+  EXPECT_EQ(index.key_count(), p.candidates.size()) << "step " << step;
+  for (std::size_t i = 0; i < p.entries.size(); ++i) {
+    const SignatureRecord& rec = *p.entries[i];
+    EXPECT_EQ(index.entry(i).content_id, rec.sig.ContentId()) << "step "
+                                                              << step;
+    // Shared payload, not an equal copy.
+    EXPECT_EQ(&index.entry(i).sig.entries(), &rec.sig.entries())
+        << "step " << step;
+  }
+  for (const auto& [key, cands] : p.candidates) {
+    const auto* slot = index.SlotForTopFrame(key);
+    ASSERT_NE(slot, nullptr) << "step " << step;
+    ASSERT_EQ(slot->candidates.size(), cands.size()) << "step " << step;
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      EXPECT_EQ(slot->candidates[c].ordinal, cands[c].ordinal);
+      EXPECT_EQ(slot->candidates[c].position, cands[c].position);
+    }
+    EXPECT_EQ(slot->peer_buckets, p.peers.at(key)) << "step " << step;
+  }
+  EXPECT_EQ(index.SlotForTopFrame(0xDEADBEEF), nullptr);
+}
+
+/// FindByBugKey against a linear scan of the records.
+void ExpectBugKeyListsMatchScan(const History& h, std::uint64_t step) {
+  std::set<std::uint64_t> keys;
+  for (const SignatureRecord& rec : h.records()) keys.insert(rec.sig.BugKey());
+  for (const std::uint64_t key : keys) {
+    std::vector<std::size_t> scan;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      if (h.record(i).sig.BugKey() == key) scan.push_back(i);
+    }
+    EXPECT_EQ(h.FindByBugKey(key), scan) << "step " << step;
+  }
+}
+
+TEST(AvoidanceIndexTest, BuildMatchesNaiveProjectionOverRandomMutations) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     History h;
     std::vector<std::uint64_t> contents;
-    auto index = AvoidanceIndex::Build(h, 0);
+    const std::size_t buckets = seed % 2 == 0 ? 16 : 1024;
+    ExpectMatchesProjection(*AvoidanceIndex::Build(h, 0, buckets), h,
+                            buckets, 0);
 
     for (std::uint64_t step = 1; step <= 60; ++step) {
       const std::uint32_t kind = static_cast<std::uint32_t>(
           rng.NextBounded(100));
       if (kind < 40 || contents.empty()) {
+        // Salts repeat now and then, so some adds are duplicates.
         const Signature sig = MakeSig(static_cast<std::uint32_t>(
-            seed * 1000 + step));
+            seed * 1000 + rng.NextBounded(50)));
         if (h.Add(sig, SignatureOrigin::kRemote, 1) >= 0) {
           contents.push_back(sig.ContentId());
         }
@@ -88,43 +127,23 @@ TEST(AvoidanceIndexTest, DeltaRebuildChainMatchesFullBuild) {
       } else if (kind < 80) {
         h.ReEnable(contents[rng.NextBounded(contents.size())]);
       } else {
+        // A different salt moves every top frame, so the replacement
+        // also changes the record's bug key.
         const std::size_t victim = rng.NextBounded(h.size());
         const Signature repl = MakeSig(static_cast<std::uint32_t>(
             seed * 1000 + 500 + step));
         if (!h.ContainsContent(repl.ContentId())) {
-          const std::uint64_t old =
-              h.record(victim).sig.ContentId();
+          const std::uint64_t old = h.record(victim).sig.ContentId();
           h.Replace(victim, repl);
           std::erase(contents, old);
           contents.push_back(repl.ContentId());
         }
       }
-      auto delta = AvoidanceIndex::Rebuild(*index, h, step);
-      const auto full = AvoidanceIndex::Build(h, step);
-      ExpectObservationallyEqual(*full, *delta, h, step);
-      EXPECT_TRUE(delta->built_by_delta());
-      EXPECT_FALSE(full->built_by_delta());
-      EXPECT_EQ(delta->entries_reused() + delta->entries_copied(),
-                delta->size());
-      index = std::move(delta);
+      ExpectMatchesProjection(*AvoidanceIndex::Build(h, step, buckets), h,
+                              buckets, step);
+      ExpectBugKeyListsMatchScan(h, step);
     }
-    // Over a 60-mutation chain almost every record survives each step.
-    EXPECT_GT(index->entries_reused() + index->entries_copied(), 0u);
   }
-}
-
-TEST(AvoidanceIndexTest, DeltaRebuildReusesUnchangedEntries) {
-  History h;
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    h.Add(MakeSig(i), SignatureOrigin::kRemote, 1);
-  }
-  auto index = AvoidanceIndex::Build(h, 1);
-  h.Add(MakeSig(100), SignatureOrigin::kRemote, 2);
-  const auto delta = AvoidanceIndex::Rebuild(*index, h, 2);
-  EXPECT_EQ(delta->entries_reused(), 10u);
-  EXPECT_EQ(delta->entries_copied(), 1u);
-  // Reuse is by shared_ptr identity, not by equal copies.
-  EXPECT_EQ(&index->entry(0), &delta->entry(0));
 }
 
 }  // namespace

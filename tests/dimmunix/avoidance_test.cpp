@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "../testutil.hpp"
 #include "dimmunix/runtime.hpp"
@@ -145,6 +148,44 @@ TEST_F(AvoidanceTest, FalsePositiveCallbackFiresUnderPressure) {
   AbbaWorkload(60).Run(rt);
   EXPECT_GE(rt.GetStats().avoidance_suspensions, 10u);
   EXPECT_GE(warnings.load(), 1);
+}
+
+TEST_F(AvoidanceTest, FalsePositiveCallbackNamesTheFlaggedSignature) {
+  // The flagged signature sits in the middle of 120 unrelated records;
+  // the warning must carry it, not a neighbour.
+  DimmunixRuntime::Options opts;
+  opts.fp.instantiation_threshold = 10;
+  opts.fp.burst_threshold = 2;
+  DimmunixRuntime rt(clock_, opts);
+  std::mutex mu;
+  std::vector<Signature> warned;
+  rt.SetFalsePositiveCallback([&](const Signature& s) {
+    std::lock_guard lock(mu);
+    warned.push_back(s);
+  });
+
+  DimmunixRuntime learner(clock_);
+  ASSERT_TRUE(AbbaWorkload(20).Run(learner).deadlocked);
+  const Signature abba = learner.SnapshotHistory().record(0).sig;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    if (i == 60) rt.AddSignature(abba, SignatureOrigin::kRemote);
+    const std::string cls = "zz.U" + std::to_string(i);
+    rt.AddSignature(
+        testutil::Sig2(testutil::ChainStack(cls, 6, F(cls, "s", 1)),
+                       testutil::ChainStack(cls, 6, F(cls, "i", 2)),
+                       testutil::ChainStack(cls, 6, F(cls, "t", 3)),
+                       testutil::ChainStack(cls, 6, F(cls, "j", 4))),
+        SignatureOrigin::kRemote);
+  }
+  ASSERT_EQ(rt.SnapshotHistory().size(), 121u);
+
+  AbbaWorkload(60).Run(rt);
+  std::lock_guard lock(mu);
+  ASSERT_FALSE(warned.empty());
+  for (const Signature& s : warned) {
+    EXPECT_EQ(s, abba);
+    EXPECT_EQ(s.ContentId(), abba.ContentId());
+  }
 }
 
 TEST_F(AvoidanceTest, AutoDisableLiftsSerialization) {

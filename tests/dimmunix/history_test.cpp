@@ -7,6 +7,7 @@
 
 #include "../testutil.hpp"
 #include "dimmunix/avoidance_index.hpp"
+#include "util/fnv.hpp"
 
 namespace communix::dimmunix {
 namespace {
@@ -50,6 +51,54 @@ TEST(HistoryTest, FindByBugKey) {
   EXPECT_TRUE(h.FindByBugKey(12345).empty());
 }
 
+TEST(HistoryTest, FindByBugKeyStaysAscendingAcrossReplace) {
+  // Records 0, 2 and 4 are manifestations of bug A (same top frames,
+  // different frames below them); 1 and 3 are manifestations of bug B.
+  const auto manifestation = [](std::uint32_t salt, std::uint32_t variant) {
+    return Sig2(ChainStack("h.V" + std::to_string(variant), 6,
+                           F("h.A", "s1", 10 + salt)),
+                ChainStack("h.A", 6, F("h.A", "i1", 11 + salt)),
+                ChainStack("h.B", 6, F("h.B", "s2", 20 + salt)),
+                ChainStack("h.B", 6, F("h.B", "i2", 21 + salt)));
+  };
+  History h;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(h.Add(manifestation(i % 2 == 0 ? 0 : 100, i),
+                    SignatureOrigin::kRemote, 1),
+              static_cast<int>(i));
+  }
+  const std::uint64_t bug_a = h.record(0).sig.BugKey();
+  const std::uint64_t bug_b = h.record(1).sig.BugKey();
+  ASSERT_NE(bug_a, bug_b);
+  EXPECT_EQ(h.FindByBugKey(bug_a), (std::vector<std::size_t>{0, 2, 4}));
+  EXPECT_EQ(h.FindByBugKey(bug_b), (std::vector<std::size_t>{1, 3}));
+
+  // Moving record 2 to bug B must land it between 1 and 3.
+  h.Replace(2, manifestation(100, 7));
+  EXPECT_EQ(h.FindByBugKey(bug_a), (std::vector<std::size_t>{0, 4}));
+  EXPECT_EQ(h.FindByBugKey(bug_b), (std::vector<std::size_t>{1, 2, 3}));
+  // A same-bug replace leaves the lists alone; emptying a bug drops it.
+  h.Replace(1, manifestation(100, 8));
+  EXPECT_EQ(h.FindByBugKey(bug_b), (std::vector<std::size_t>{1, 2, 3}));
+  h.Replace(0, manifestation(100, 9));
+  h.Replace(4, manifestation(100, 10));
+  EXPECT_TRUE(h.FindByBugKey(bug_a).empty());
+  EXPECT_EQ(h.FindByBugKey(bug_b),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(HistoryTest, FindReturnsTheRecordOfAContentId) {
+  History h;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    h.Add(MakeSig(i * 100), SignatureOrigin::kRemote, i);
+  }
+  const SignatureRecord* rec = h.Find(MakeSig(7300).ContentId());
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->sig, MakeSig(7300));
+  EXPECT_EQ(rec->added_at, 73);
+  EXPECT_EQ(h.Find(12345), nullptr);
+}
+
 TEST(HistoryTest, CandidatesIndexByOuterTop) {
   // The candidates-by-top-frame projection lives in AvoidanceIndex (the
   // runtime's published snapshot), built from the history.
@@ -76,7 +125,7 @@ TEST(HistoryTest, DisableRemovesFromIndex) {
   EXPECT_EQ(disabled->CandidatesForTopFrame(s.entries()[0].outer.TopKey()),
             nullptr);
   ASSERT_TRUE(h.ReEnable(s.ContentId()));
-  const auto enabled = AvoidanceIndex::Rebuild(*disabled, h, 2);
+  const auto enabled = AvoidanceIndex::Build(h, 2);
   EXPECT_NE(enabled->CandidatesForTopFrame(s.entries()[0].outer.TopKey()),
             nullptr);
 }
@@ -193,6 +242,39 @@ TEST(HistoryTest, RoundTripSurvivesIndexRebuild) {
   EXPECT_EQ(rebuilt->size(), 2u);
   for (const auto& e : disabled_sig.entries()) {
     EXPECT_NE(rebuilt->CandidatesForTopFrame(e.outer.TopKey()), nullptr);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(HistoryTest, CachedContentIdsMatchFreshHashesAcrossSaveLoad) {
+  // Every record's cached ContentId() equals Fnv1a(ToBytes()) — before
+  // saving, after loading, and after a Replace rewrote a record.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "communix_hist_ids.bin")
+          .string();
+  const auto expect_fresh = [](const History& hist, const char* when) {
+    for (const SignatureRecord& rec : hist.records()) {
+      const auto bytes = rec.sig.ToBytes();
+      EXPECT_EQ(rec.sig.ContentId(), Fnv1a(std::span<const std::uint8_t>(
+                                         bytes.data(), bytes.size())))
+          << when;
+      EXPECT_TRUE(hist.ContainsContent(rec.sig.ContentId())) << when;
+    }
+  };
+  History h;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    h.Add(MakeSig(i * 50), SignatureOrigin::kRemote, i);
+  }
+  h.Replace(3, MakeSig(5000));
+  expect_fresh(h, "before save");
+  ASSERT_TRUE(h.SaveToFile(path).ok());
+  auto loaded = History::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().size(), h.size());
+  expect_fresh(loaded.value(), "after load");
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    EXPECT_EQ(loaded.value().record(i).sig.ContentId(),
+              h.record(i).sig.ContentId());
   }
   std::remove(path.c_str());
 }

@@ -724,7 +724,7 @@ void AddAbbaGroup(Builder& b, std::size_t group) {
 }
 
 /// History churn thread: adds unrelated signatures (index republishes,
-/// delta rebuilds, wakeups of every parked thread) and optionally
+/// wakeups of every parked thread) and optionally
 /// disables/re-enables a suspension group's signature mid-schedule.
 void AddChurnThread(Builder& b, Rng& rng, bool has_disable_target,
                     std::uint64_t disable_content) {

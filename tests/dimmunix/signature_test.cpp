@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../testutil.hpp"
+#include "util/fnv.hpp"
 #include "util/sha256.hpp"
 
 namespace communix::dimmunix {
@@ -18,6 +19,24 @@ Signature SampleSig(std::uint32_t salt = 0) {
               ChainStack("app.A", 7, F("app.A", "waitB", 110 + salt)),
               ChainStack("app.B", 6, F("app.B", "lockB", 200 + salt)),
               ChainStack("app.B", 7, F("app.B", "waitA", 210 + salt)));
+}
+
+/// SampleSig with a class hash on every frame (the uploaded form).
+Signature HashedSampleSig(std::uint32_t salt = 0) {
+  std::vector<SignatureEntry> entries = SampleSig(salt).entries();
+  for (auto& e : entries) {
+    for (auto* stack : {&e.outer, &e.inner}) {
+      for (auto& f : stack->mutable_frames()) {
+        f.class_hash = Sha256::Hash(f.class_name);
+      }
+    }
+  }
+  return Signature(std::move(entries));
+}
+
+std::uint64_t FreshContentId(const Signature& s) {
+  const auto bytes = s.ToBytes();
+  return Fnv1a(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
 }
 
 TEST(SignatureTest, CanonicalOrderIndependentOfEntryOrder) {
@@ -114,6 +133,74 @@ TEST(SignatureTest, FromBytesRejectsTruncation) {
                      .has_value())
         << "cut=" << cut;
   }
+}
+
+TEST(SignatureTest, FromBytesRejectsTruncationAtEveryByte) {
+  // Covers every field boundary, including inside each 32-byte class
+  // hash, which the decoder reads straight into the digest.
+  const auto bytes = HashedSampleSig().ToBytes();
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    BinaryReader r(std::span<const std::uint8_t>(bytes.data(), keep));
+    EXPECT_FALSE(Signature::Deserialize(r).has_value()) << "keep=" << keep;
+    EXPECT_FALSE(r.ok()) << "keep=" << keep;
+  }
+  const auto whole = Signature::FromBytes(
+      std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(*whole, HashedSampleSig());
+}
+
+TEST(SignatureTest, CopiesShareOnePayload) {
+  const Signature s = SampleSig();
+  const Signature copy = s;  // NOLINT(performance-unnecessary-copy-*)
+  EXPECT_EQ(&copy.entries(), &s.entries());
+  EXPECT_EQ(copy.BugKey(), s.BugKey());
+  EXPECT_EQ(copy, s);
+}
+
+TEST(SignatureTest, CachedContentIdMatchesFreshHashAfterDecode) {
+  for (std::uint32_t salt = 0; salt < 20; ++salt) {
+    const Signature made = salt % 2 == 0 ? SampleSig(salt)
+                                         : HashedSampleSig(salt);
+    const auto bytes = made.ToBytes();
+    const auto decoded = Signature::FromBytes(
+        std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+    ASSERT_TRUE(decoded.has_value());
+    // A copy taken before the first ContentId() call sees the cached id.
+    const Signature early_copy = *decoded;
+    const std::uint64_t id = decoded->ContentId();
+    EXPECT_EQ(id, Fnv1a(std::span<const std::uint8_t>(bytes.data(),
+                                                      bytes.size())));
+    EXPECT_EQ(id, FreshContentId(*decoded));
+    EXPECT_EQ(early_copy.ContentId(), id);
+    EXPECT_EQ(decoded->ContentId(), id) << "cached value is stable";
+    EXPECT_EQ(made.ContentId(), id);
+  }
+}
+
+TEST(SignatureTest, TakeEntriesMovesOnlyWhenUnshared) {
+  Signature sole = SampleSig();
+  const SignatureEntry* payload = sole.entries().data();
+  const auto moved = std::move(sole).TakeEntries();
+  EXPECT_EQ(moved.data(), payload) << "sole owner: entries move out";
+  EXPECT_TRUE(sole.empty());  // NOLINT(bugprone-use-after-move)
+
+  Signature shared = SampleSig();
+  const Signature keeper = shared;
+  auto copied = std::move(shared).TakeEntries();
+  EXPECT_NE(copied.data(), keeper.entries().data());
+  EXPECT_EQ(copied, keeper.entries());
+  copied[0].outer.TrimToDepth(1);
+  EXPECT_EQ(keeper, SampleSig()) << "the other owner is untouched";
+}
+
+TEST(SignatureTest, EmptySignatureHasNoEntries) {
+  const Signature none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.num_threads(), 0u);
+  EXPECT_EQ(none.BugKey(), 0u);
+  EXPECT_EQ(none.ContentId(), FreshContentId(none));
+  EXPECT_EQ(none, Signature(std::vector<SignatureEntry>{}));
 }
 
 TEST(SignatureTest, SignatureSizeRoughlyMatchesPaper) {

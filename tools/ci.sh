@@ -42,7 +42,8 @@
 #
 # --asan: AddressSanitizer build (separate build-asan dir) running the
 # same binaries — lifetime coverage for the context reaper and the
-# entry sharing across delta-rebuilt index snapshots.
+# signature payloads shared between the history, index snapshots and
+# callbacks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,9 +69,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
       --gtest_repeat=5
   TSAN_OPTIONS="${TSAN}" ./build-tsan/util_tests
   # Store-tier smoke under TSAN: concurrent ReadSince (2Q cache + RCU log
-  # swap) racing ADDs on both backends.
+  # swap) racing ADDs on both backends; and four threads computing the
+  # cached content id of shared signature copies while an agent install
+  # runs.
   TSAN_OPTIONS="${TSAN}" ./build-tsan/communix_tests \
-      --gtest_filter='*ConcurrentReadersAndWritersStayCoherent*'
+      --gtest_filter='*ConcurrentReadersAndWritersStayCoherent*:SignatureSharingTest.*'
   # Cluster smoke under TSAN: kill-primary failover, the background
   # shipper racing ADDs and lock-free feed reads, checkpoint bootstrap of
   # a far-behind follower, and the client read cache (on in the cache
